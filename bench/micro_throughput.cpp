@@ -802,14 +802,22 @@ void bm_d_choice_level_fast_path(benchmark::State& state) {
 }
 BENCHMARK(bm_d_choice_level_fast_path)->Arg(2)->Arg(4)->Arg(8);
 
+/// The Table-1-style cell both runner benchmarks time: (8,16)-choice at
+/// n = 2^15, one ball per bin.
+constexpr std::uint64_t bm_experiment_n = 1 << 15;
+
+kdc::core::kd_choice_process bm_experiment_process(std::uint64_t seed) {
+    return kdc::core::kd_choice_process(bm_experiment_n, 8, 16, seed);
+}
+
 /// Serial repetition sweep baseline for the parallel-runner comparison:
-/// a Table-1-style cell, 10 reps of (8,16)-choice at n = 2^15.
+/// 10 reps of the cell above.
 void bm_experiment_serial(benchmark::State& state) {
-    constexpr std::uint64_t n = 1 << 15;
+    constexpr std::uint64_t n = bm_experiment_n;
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        const auto result = kdc::core::run_kd_experiment(
-            n, 8, 16, {.balls = n, .reps = 10, .seed = ++seed});
+        const auto result = kdc::core::run_experiment(
+            {.balls = n, .reps = 10, .seed = ++seed}, bm_experiment_process);
         benchmark::DoNotOptimize(result.reps.data());
     }
     state.SetItemsProcessed(state.iterations() * 10 * n);
@@ -819,12 +827,13 @@ BENCHMARK(bm_experiment_serial)->Unit(benchmark::kMillisecond);
 /// The same sweep fanned out over a thread pool. Aggregates are bit-identical
 /// to the serial baseline; only wall-clock time may differ.
 void bm_experiment_parallel(benchmark::State& state) {
-    constexpr std::uint64_t n = 1 << 15;
+    constexpr std::uint64_t n = bm_experiment_n;
     const auto threads = static_cast<unsigned>(state.range(0));
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        const auto result = kdc::core::run_kd_experiment_parallel(
-            n, 8, 16, {.balls = n, .reps = 10, .seed = ++seed}, threads);
+        const auto result = kdc::core::run_parallel_experiment(
+            {.balls = n, .reps = 10, .seed = ++seed}, bm_experiment_process,
+            threads);
         benchmark::DoNotOptimize(result.reps.data());
     }
     state.SetItemsProcessed(state.iterations() * 10 * n);

@@ -278,65 +278,6 @@ bool level_profile::operator==(const level_profile& other) const {
     return remaining_bins() == other.remaining_bins();
 }
 
-std::vector<level_profile> split_profile(const level_profile& profile,
-                                         std::uint64_t shards) {
-    const std::uint64_t n = profile.n();
-    KD_EXPECTS_MSG(shards >= 1 && shards <= n,
-                   "split_profile needs 1 <= shards <= n");
-    KD_EXPECTS_MSG(profile.remaining_bins() == n,
-                   "cannot split a profile with extracted bins mid-round");
-    // Shard s holds floor(n/S) bins, +1 for the first n mod S shards; walk
-    // the levels bottom-up and deal bins into shards in index order so the
-    // assignment is a pure function of (profile, shards).
-    std::vector<std::vector<std::uint64_t>> counts(shards);
-    const std::uint64_t base = n / shards;
-    const std::uint64_t extra = n % shards;
-    std::uint64_t shard = 0;
-    std::uint64_t filled = 0; // bins already dealt to `shard`
-    std::uint64_t capacity = base + (0 < extra ? 1 : 0);
-    for (std::uint64_t level = 0; level <= profile.max_level(); ++level) {
-        std::uint64_t remaining = profile.bins_at(level);
-        while (remaining > 0) {
-            const std::uint64_t take =
-                std::min(remaining, capacity - filled);
-            if (counts[shard].size() <= level) {
-                counts[shard].resize(level + 1, 0);
-            }
-            counts[shard][level] += take;
-            filled += take;
-            remaining -= take;
-            if (filled == capacity && shard + 1 < shards) {
-                ++shard;
-                filled = 0;
-                capacity = base + (shard < extra ? 1 : 0);
-            }
-        }
-    }
-    std::vector<level_profile> out;
-    out.reserve(shards);
-    for (const auto& shard_counts : counts) {
-        out.push_back(level_profile::from_counts(shard_counts));
-    }
-    return out;
-}
-
-level_profile merge_profiles(const std::vector<level_profile>& shards) {
-    KD_EXPECTS_MSG(!shards.empty(), "merge_profiles needs at least one shard");
-    std::uint64_t levels = 0;
-    for (const level_profile& shard : shards) {
-        KD_EXPECTS_MSG(shard.remaining_bins() == shard.n(),
-                       "cannot merge a profile with extracted bins mid-round");
-        levels = std::max(levels, shard.max_level() + 1);
-    }
-    std::vector<std::uint64_t> counts(levels, 0);
-    for (const level_profile& shard : shards) {
-        for (std::uint64_t level = 0; level <= shard.max_level(); ++level) {
-            counts[level] += shard.bins_at(level);
-        }
-    }
-    return level_profile::from_counts(counts);
-}
-
 load_metrics level_profile::metrics() const {
     KD_EXPECTS_MSG(remaining_bins() == n_,
                    "profile has extracted bins mid-round");

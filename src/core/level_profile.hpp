@@ -40,8 +40,7 @@ public:
     [[nodiscard]] static level_profile from_loads(const load_vector& loads);
 
     /// The profile with the given bins-per-level counts (level = index).
-    /// n is the sum of the counts; requires at least one bin. This is the
-    /// constructor behind split_profile/merge_profiles.
+    /// n is the sum of the counts; requires at least one bin.
     [[nodiscard]] static level_profile
     from_counts(const std::vector<std::uint64_t>& counts);
 
@@ -139,23 +138,6 @@ private:
     std::uint64_t total_balls_ = 0;
     std::uint64_t max_level_ = 0;
 };
-
-/// Partitions a profile into `shards` per-shard profiles — the level
-/// kernel's counterpart of the per-bin kernel's contiguous bin ranges
-/// (core/sharded_kernel.hpp). Shard s receives floor(n/S) bins (+1 for the
-/// first n mod S shards); bins are assigned deterministically, walking the
-/// levels in increasing order and filling shards in increasing index order,
-/// so the split is a pure function of the profile and S. Requires
-/// 1 <= shards <= n; no bin may be extracted.
-[[nodiscard]] std::vector<level_profile>
-split_profile(const level_profile& profile, std::uint64_t shards);
-
-/// Inverse of split_profile: sums the per-level counts of the shard
-/// profiles back into one profile. merge_profiles(split_profile(p, S)) == p
-/// for every valid S. Requires a non-empty shard list with no extracted
-/// bins.
-[[nodiscard]] level_profile
-merge_profiles(const std::vector<level_profile>& shards);
 
 /// Reads a whole CRC-trailed snapshot stream (format v2's shared envelope:
 /// arbitrary text body followed by a final "crc32 <8 hex>" line), verifies

@@ -83,21 +83,4 @@ run_parallel_experiment(const experiment_config& config, Factory&& factory,
     return out;
 }
 
-/// Parallel counterparts of the serial convenience runners. Same defaults:
-/// balls = 0 means "as many whole rounds as fit n balls".
-[[nodiscard]] experiment_result
-run_kd_experiment_parallel(std::uint64_t n, std::uint64_t k, std::uint64_t d,
-                           const experiment_config& config,
-                           unsigned threads = 0);
-
-[[nodiscard]] experiment_result
-run_single_choice_experiment_parallel(std::uint64_t n,
-                                      const experiment_config& config,
-                                      unsigned threads = 0);
-
-[[nodiscard]] experiment_result
-run_d_choice_experiment_parallel(std::uint64_t n, std::uint64_t d,
-                                 const experiment_config& config,
-                                 unsigned threads = 0);
-
 } // namespace kdc::core

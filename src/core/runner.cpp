@@ -1,6 +1,5 @@
 #include "core/runner.hpp"
 
-#include "core/level_process.hpp"
 #include "support/cli.hpp"
 
 namespace kdc::core {
@@ -67,74 +66,6 @@ std::uint64_t whole_rounds_balls(std::uint64_t n, std::uint64_t k) {
     KD_EXPECTS_MSG(n >= k,
                    "need n >= k bins: not even one round of k balls fits");
     return n - (n % k);
-}
-
-experiment_result run_kd_experiment(std::uint64_t n, std::uint64_t k,
-                                    std::uint64_t d,
-                                    const experiment_config& config) {
-    return run_kd_experiment(n, k, d, config, kernel_kind::per_bin);
-}
-
-experiment_result run_kd_experiment(std::uint64_t n, std::uint64_t k,
-                                    std::uint64_t d,
-                                    const experiment_config& config,
-                                    kernel_kind kernel) {
-    experiment_config actual = config;
-    if (actual.balls == 0) {
-        actual.balls = whole_rounds_balls(n, k);
-    }
-    if (kernel == kernel_kind::level) {
-        return run_experiment(actual, [n, k, d](std::uint64_t seed) {
-            return kd_choice_level_process(n, k, d, seed);
-        });
-    }
-    return run_experiment(actual, [n, k, d](std::uint64_t seed) {
-        return kd_choice_process(n, k, d, seed);
-    });
-}
-
-experiment_result
-run_single_choice_experiment(std::uint64_t n, const experiment_config& config) {
-    return run_single_choice_experiment(n, config, kernel_kind::per_bin);
-}
-
-experiment_result
-run_single_choice_experiment(std::uint64_t n, const experiment_config& config,
-                             kernel_kind kernel) {
-    experiment_config actual = config;
-    if (actual.balls == 0) {
-        actual.balls = n;
-    }
-    if (kernel == kernel_kind::level) {
-        return run_experiment(actual, [n](std::uint64_t seed) {
-            return single_choice_level_process(n, seed);
-        });
-    }
-    return run_experiment(actual, [n](std::uint64_t seed) {
-        return single_choice_process(n, seed);
-    });
-}
-
-experiment_result run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
-                                          const experiment_config& config) {
-    return run_d_choice_experiment(n, d, config, kernel_kind::per_bin);
-}
-
-experiment_result run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
-                                          const experiment_config& config,
-                                          kernel_kind kernel) {
-    experiment_config actual = config;
-    if (actual.balls == 0) {
-        actual.balls = n;
-    }
-    if (kernel == kernel_kind::level) {
-        return run_experiment(actual, [n, d](std::uint64_t seed) {
-            return d_choice_level_process(n, d, seed);
-        });
-    }
-    return run_experiment(actual, [n, d](std::uint64_t seed) {
-        return d_choice_process(n, d, seed);
-    });
 }
 
 } // namespace kdc::core

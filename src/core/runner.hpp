@@ -182,37 +182,11 @@ template <typename Factory>
     return out;
 }
 
-/// The default ball count for a convenience runner: as many balls as bins,
-/// rounded *down* to whole rounds of k (the process only places whole
-/// rounds). Rejects n < k, where not even one round fits.
+/// The default ball count of the round-based policies (resolved_balls in
+/// core/scenario.hpp): as many balls as bins, rounded *down* to whole
+/// rounds of k (the process only places whole rounds). Rejects n < k,
+/// where not even one round fits.
 [[nodiscard]] std::uint64_t whole_rounds_balls(std::uint64_t n,
                                                std::uint64_t k);
-
-/// Convenience: the (k,d)-choice experiment with n bins and `balls` balls
-/// (balls defaults to whole_rounds_balls(n, k) when 0 is passed). The
-/// kernel overloads run the same experiment on the chosen state
-/// representation; per_bin reproduces the two-argument overload exactly.
-[[nodiscard]] experiment_result
-run_kd_experiment(std::uint64_t n, std::uint64_t k, std::uint64_t d,
-                  const experiment_config& config);
-[[nodiscard]] experiment_result
-run_kd_experiment(std::uint64_t n, std::uint64_t k, std::uint64_t d,
-                  const experiment_config& config, kernel_kind kernel);
-
-/// Convenience: single-choice with the same aggregation (Table 1's d = 1
-/// column).
-[[nodiscard]] experiment_result
-run_single_choice_experiment(std::uint64_t n, const experiment_config& config);
-[[nodiscard]] experiment_result
-run_single_choice_experiment(std::uint64_t n, const experiment_config& config,
-                             kernel_kind kernel);
-
-/// Convenience: classic d-choice (Table 1's k = 1 row).
-[[nodiscard]] experiment_result
-run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
-                        const experiment_config& config);
-[[nodiscard]] experiment_result
-run_d_choice_experiment(std::uint64_t n, std::uint64_t d,
-                        const experiment_config& config, kernel_kind kernel);
 
 } // namespace kdc::core

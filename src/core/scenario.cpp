@@ -465,12 +465,23 @@ kernel_kind resolve_kernel(const scenario& sc) {
                             "with-replacement probes; use replacement=with "
                             "or kernel=perbin");
         }
+        if (sc.par == par_mode::round) {
+            // Every level round draws its probes through the Fenwick ranks
+            // of the exact current profile: there is nothing to shard.
+            throw cli_error(
+                "kernel=level has no round-parallel kernel (every level "
+                "round depends on the exact current profile); use "
+                "kernel=level with par=rep, or par=round with kernel=perbin "
+                "or kernel=auto");
+        }
         return kernel_kind::level;
     case kernel_choice::auto_pick:
         break;
     }
+    // par=round always means the per-bin sharded kernel.
     return info.supports_level &&
-                   sc.replacement == probe_mode::with_replacement
+                   sc.replacement == probe_mode::with_replacement &&
+                   sc.par == par_mode::rep
                ? kernel_kind::level
                : kernel_kind::per_bin;
 }
@@ -560,13 +571,10 @@ policy_registry::policy_registry() {
                  return any_process(single_choice_process(sc.n, seed));
              }
              if (sc.par == par_mode::round) {
-                 // The sharded round-parallel kernels: byte-identical to
-                 // the serial kernels below (validate_scenario already
-                 // pinned replacement=with and d >= 2).
-                 if (kernel == kernel_kind::level) {
-                     return any_process(sharded_kd_level_process(
-                         sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
-                 }
+                 // The sharded round-parallel kernel: byte-identical to
+                 // kd_choice_process below (validate_scenario already
+                 // pinned replacement=with and d >= 2, resolve_kernel
+                 // pinned perbin).
                  return any_process(sharded_kd_process(
                      sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
              }

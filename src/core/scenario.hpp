@@ -44,7 +44,8 @@
 //                 default; round = the sharded round-parallel kernel of
 //                 core/sharded_kernel.hpp inside each repetition —
 //                 byte-identical output, "kd" family with d >= 2 and
-//                 replacement=with only)
+//                 replacement=with only; per-bin only, so kernel=auto
+//                 resolves to perbin and kernel=level is an error)
 //   shards      = auto | N  (par=round: shard-count request, resolved via
 //                 resolve_shard_count; auto sizes the shard windows to the
 //                 detected L2 cache — shard_auto_config)
@@ -99,7 +100,7 @@ namespace kdc::core {
 class thread_pool;
 
 /// A process that can run its own phases on a shared worker pool (the
-/// sharded round-parallel kernels of core/sharded_kernel.hpp). The pool is
+/// sharded round-parallel kernel of core/sharded_kernel.hpp). The pool is
 /// borrowed and must outlive the process's runs; output never depends on
 /// it.
 template <typename P>
@@ -181,9 +182,10 @@ void validate_scenario(const scenario& sc);
 /// a non-uniform probe modifies the "kd" family, else the family itself.
 [[nodiscard]] std::string resolved_policy(const scenario& sc);
 
-/// Resolves kernel=auto (level whenever the policy supports it and the
-/// probes are with-replacement) and rejects kernel=level for policies
-/// without a level kernel — the error names the level-capable set.
+/// Resolves kernel=auto (level whenever the policy supports it, the probes
+/// are with-replacement and par=rep; perbin otherwise) and rejects
+/// kernel=level for policies without a level kernel — the error names the
+/// level-capable set — and under par=round.
 [[nodiscard]] kernel_kind resolve_kernel(const scenario& sc);
 
 /// The scenario's ball count: `balls` when set, else the policy default
@@ -404,9 +406,8 @@ run_scenario_repetition(const scenario& sc, std::uint64_t derived_seed,
                         std::uint64_t balls, thread_pool* pool);
 
 /// Serial multi-repetition experiment over a scenario — the scenario-typed
-/// counterpart of run_experiment, bit-identical to it for every policy the
-/// legacy convenience runners cover. config.balls = 0 means
-/// resolved_balls(sc).
+/// counterpart of run_experiment, bit-identical to it over the policy's
+/// process factory. config.balls = 0 means resolved_balls(sc).
 [[nodiscard]] experiment_result
 run_scenario_experiment(const scenario& sc, const experiment_config& config);
 

@@ -24,7 +24,6 @@
 namespace kdc::core {
 
 static_assert(allocation_process<sharded_kd_process>);
-static_assert(allocation_process<sharded_kd_level_process>);
 
 namespace {
 
@@ -1026,118 +1025,6 @@ sharded_kd_process::conflict_table::find_or_null(std::uint32_t bin) {
         h = (h + 1) & mask;
     }
     return &vals[h];
-}
-
-// ---------------------------------------------------------------------------
-// sharded_kd_level_process
-// ---------------------------------------------------------------------------
-
-sharded_kd_level_process::sharded_kd_level_process(std::uint64_t n,
-                                                   std::uint64_t k,
-                                                   std::uint64_t d,
-                                                   std::uint64_t seed,
-                                                   std::uint64_t shards,
-                                                   std::uint64_t selpar)
-    : sharded_kd_level_process(level_profile(n), k, d, seed, shards,
-                               selpar) {}
-
-sharded_kd_level_process::sharded_kd_level_process(level_profile initial,
-                                                   std::uint64_t k,
-                                                   std::uint64_t d,
-                                                   std::uint64_t seed,
-                                                   std::uint64_t shards,
-                                                   std::uint64_t selpar)
-    : profile_(std::move(initial)),
-      shard_profiles_(split_profile(
-          profile_, resolve_shard_count(profile_.n(), shards))),
-      k_(k), d_(d), selpar_(selpar), gen_(seed), probe_draws_(profile_.n()) {
-    KD_EXPECTS_MSG(k >= 1, "k must be positive");
-    KD_EXPECTS_MSG(k < d, "(k,d)-choice requires k < d");
-    KD_EXPECTS_MSG(d <= profile_.n(), "cannot probe more bins than exist");
-    distinct_.reserve(d);
-    slots_.reserve(d);
-    kept_per_probe_.reserve(d);
-}
-
-void sharded_kd_level_process::run_round() {
-    // Authoritative replay of kd_choice_level_process::run_round on the
-    // global profile (identical draws, ranks and selection), with the S
-    // shard profiles maintained in lockstep: every fresh probe extracts a
-    // bin from the lowest-indexed shard holding one at the probed level
-    // and reinserts into that same shard post-round — a pure function of
-    // the tape, so the partition never depends on scheduling.
-    profile_.ensure_levels(profile_.max_level() + d_ + 1);
-
-    distinct_.clear();
-    for (std::uint64_t probe = 0; probe < d_; ++probe) {
-        const std::uint64_t v = probe_draws_.next(gen_);
-        const auto j = static_cast<std::uint64_t>(distinct_.size());
-        if (v < j) {
-            ++distinct_[static_cast<std::size_t>(v)].multiplicity;
-        } else {
-            const std::uint64_t level = profile_.level_at_rank(v - j);
-            profile_.extract_bin(level);
-            std::uint32_t shard = 0;
-            while (shard_profiles_[shard].bins_at(level) == 0) {
-                ++shard; // terminates: the shard counts sum to the global
-            }
-            shard_profiles_[shard].extract_bin(level);
-            distinct_.push_back({level, 1, shard});
-        }
-    }
-
-    // Tie keys follow the serial level kernel's discipline: drawn only in
-    // rounds with a duplicated probe; duplicate-free rounds break height
-    // ties by probe order (bins at a level are exchangeable, so the global
-    // profile is identical either way, and the shard assignment stays a
-    // pure function of the tape).
-    const bool has_duplicate = distinct_.size() < d_;
-    slots_.clear();
-    for (std::uint32_t t = 0; t < distinct_.size(); ++t) {
-        const auto& probe = distinct_[t];
-        for (std::uint32_t occurrence = 1; occurrence <= probe.multiplicity;
-             ++occurrence) {
-            slots_.push_back(
-                slot{probe.level + occurrence,
-                     has_duplicate ? static_cast<std::uint64_t>(gen_()) : t,
-                     t});
-        }
-    }
-    if (k_ < slots_.size()) {
-        std::nth_element(
-            slots_.begin(),
-            slots_.begin() + static_cast<std::ptrdiff_t>(k_ - 1), slots_.end(),
-            [](const slot& a, const slot& b) {
-                if (a.height != b.height) {
-                    return a.height < b.height;
-                }
-                return a.tie_key < b.tie_key;
-            });
-    }
-
-    kept_per_probe_.assign(distinct_.size(), 0);
-    for (std::size_t i = 0; i < k_; ++i) {
-        ++kept_per_probe_[slots_[i].probe];
-    }
-    for (std::uint32_t t = 0; t < distinct_.size(); ++t) {
-        const std::uint64_t target = distinct_[t].level + kept_per_probe_[t];
-        profile_.insert_bin(target);
-        auto& shard = shard_profiles_[distinct_[t].shard];
-        shard.ensure_levels(target + 1);
-        shard.insert_bin(target);
-    }
-
-    balls_placed_ += k_;
-    rounds_run_ += 1;
-    messages_ += d_;
-}
-
-void sharded_kd_level_process::run_balls(std::uint64_t balls) {
-    KD_EXPECTS_MSG(balls % k_ == 0,
-                   "balls must be a multiple of k (whole rounds)");
-    for (std::uint64_t placed = 0; placed < balls; placed += k_) {
-        run_round();
-    }
 }
 
 } // namespace kdc::core

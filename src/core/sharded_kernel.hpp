@@ -83,9 +83,10 @@
 // straddles the k-boundary — probability < d^2 * 2^-64 per round, zero in
 // any feasible run length.
 //
-// The level-kernel counterpart (sharded_kd_level_process) partitions the
-// level profile itself into S shard profiles kept in deterministic
-// lockstep with an authoritative serial replay; see the class comment.
+// There is no level-kernel counterpart: every level round draws its probes
+// through the Fenwick ranks of the exact current profile, so the rounds
+// are serial by construction and the profile has nothing to shard
+// (kernel=level with par=round is a cli_error in the scenario grammar).
 #pragma once
 
 #include <algorithm>
@@ -94,7 +95,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/level_profile.hpp"
 #include "core/types.hpp"
 #include "rng/sampling.hpp"
 #include "rng/xoshiro256ss.hpp"
@@ -158,9 +158,9 @@ struct sharded_phase_times {
 
 /// Deterministic partition of [0, n) bins into `shards` contiguous ranges:
 /// shard s holds floor(n/S) bins, +1 for the first n mod S shards — the
-/// same dealing rule as split_profile (core/level_profile.hpp) and
-/// thread_pool::phase_range, so bin shards, round segments and tape
-/// slices all slice identically. O(1) shard_of. Requires 1 <= shards <= n.
+/// same dealing rule as thread_pool::phase_range, so bin shards, round
+/// segments and tape slices all slice identically. O(1) shard_of.
+/// Requires 1 <= shards <= n.
 class shard_layout {
 public:
     shard_layout(std::uint64_t n, std::uint64_t shards)
@@ -468,102 +468,6 @@ private:
     // Hand-off replay scratch.
     std::vector<kd_uint128> replay_cand_;
     std::vector<std::uint32_t*> replay_vals_;
-};
-
-/// The (k,d)-choice process on level-compressed state with the profile
-/// partitioned into S shard profiles (split_profile) maintained in
-/// deterministic lockstep with an authoritative replay of
-/// kd_choice_level_process: profile() is byte-identical to the serial
-/// level kernel at every shard and thread count, and
-/// merge_profiles(shard_profiles()) == profile() holds as an invariant.
-///
-/// Each fresh probe extracts a bin from the LOWEST-indexed shard with a
-/// bin at the probed level and reinserts it into the same shard at its
-/// post-round level — a pure function of the tape, so the shard partition
-/// is schedule-independent. The per-round dependency through the Fenwick
-/// ranks is inherently serial (every draw conditions on the exact current
-/// profile), so this kernel runs its rounds on the calling thread;
-/// use_pool and selpar are accepted for interface parity (the scenario
-/// grammar carries both keys for either sharded kernel) and future
-/// cross-shard phases, and the sharded state is what snapshot
-/// partitioning and the scenario grammar's shards= key operate on.
-/// Requires 1 <= k < d <= n.
-class sharded_kd_level_process {
-public:
-    sharded_kd_level_process(std::uint64_t n, std::uint64_t k,
-                             std::uint64_t d, std::uint64_t seed,
-                             std::uint64_t shards = 0,
-                             std::uint64_t selpar = 0);
-
-    /// Starts from an existing profile (snapshot resume); the shard
-    /// profiles are re-derived via split_profile.
-    sharded_kd_level_process(level_profile initial, std::uint64_t k,
-                             std::uint64_t d, std::uint64_t seed,
-                             std::uint64_t shards = 0,
-                             std::uint64_t selpar = 0);
-
-    /// Accepted for interface parity with sharded_kd_process; rounds run
-    /// on the calling thread (see the class comment).
-    void use_pool(thread_pool* pool) noexcept { pool_ = pool; }
-
-    /// Places `balls` balls (must be a multiple of k: whole rounds).
-    void run_balls(std::uint64_t balls);
-
-    [[nodiscard]] const level_profile& profile() const noexcept {
-        return profile_;
-    }
-    /// The S shard profiles; merge_profiles over them equals profile().
-    [[nodiscard]] const std::vector<level_profile>&
-    shard_profiles() const noexcept {
-        return shard_profiles_;
-    }
-    [[nodiscard]] std::uint64_t balls_placed() const noexcept {
-        return balls_placed_;
-    }
-    [[nodiscard]] std::uint64_t rounds_run() const noexcept {
-        return rounds_run_;
-    }
-    [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
-
-    [[nodiscard]] std::uint64_t n() const noexcept { return profile_.n(); }
-    [[nodiscard]] std::uint64_t k() const noexcept { return k_; }
-    [[nodiscard]] std::uint64_t d() const noexcept { return d_; }
-    [[nodiscard]] std::uint64_t shard_count() const noexcept {
-        return shard_profiles_.size();
-    }
-    /// The carried selection-segment request (identity: serial rounds).
-    [[nodiscard]] std::uint64_t selection_segments() const noexcept {
-        return selpar_;
-    }
-
-private:
-    void run_round();
-
-    struct distinct_probe {
-        std::uint64_t level = 0;
-        std::uint32_t multiplicity = 0;
-        std::uint32_t shard = 0;
-    };
-    struct slot {
-        std::uint64_t height = 0;
-        std::uint64_t tie_key = 0;
-        std::uint32_t probe = 0;
-    };
-
-    level_profile profile_;
-    std::vector<level_profile> shard_profiles_;
-    std::uint64_t k_;
-    std::uint64_t d_;
-    std::uint64_t selpar_;
-    std::uint64_t balls_placed_ = 0;
-    std::uint64_t rounds_run_ = 0;
-    std::uint64_t messages_ = 0;
-    thread_pool* pool_ = nullptr;
-    std::vector<distinct_probe> distinct_;
-    std::vector<slot> slots_;
-    std::vector<std::uint32_t> kept_per_probe_;
-    rng::xoshiro256ss gen_;
-    rng::batched_uniform probe_draws_; // bound n, batched
 };
 
 } // namespace kdc::core

@@ -14,7 +14,6 @@
 
 #include "core/fault_injection.hpp"
 #include "core/level_process.hpp"
-#include "core/sharded_kernel.hpp"
 #include "core/steady_state.hpp"
 #include "rng/splitmix64.hpp"
 #include "support/cli.hpp"
@@ -310,20 +309,10 @@ bool run_snapshot_stage(const arg_parser& args, const scenario& sc,
     }
 
     // Each stage is its own independently seeded process over the evolving
-    // profile; par=round swaps in the sharded level kernel (identical
-    // profile output — its contract).
-    level_profile final_profile = [&] {
-        if (sc.par == par_mode::round) {
-            sharded_kd_level_process process(std::move(initial), sc.k, sc.d,
-                                             derived, sc.shards);
-            process.run_balls(balls);
-            return process.profile();
-        }
-        kd_choice_level_process process(std::move(initial), sc.k, sc.d,
-                                        derived);
-        process.run_balls(balls);
-        return process.profile();
-    }();
+    // profile.
+    kd_choice_level_process process(std::move(initial), sc.k, sc.d, derived);
+    process.run_balls(balls);
+    const level_profile& final_profile = process.profile();
 
     print_profile_line(stage_out, "final", final_profile);
     if (!snapshot_out.empty()) {

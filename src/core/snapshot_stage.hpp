@@ -33,9 +33,9 @@ namespace kdc::core {
 /// profile to --snapshot-out when given, prints a deterministic summary to
 /// `out`, and returns true (the caller should exit successfully).
 ///
-/// Staging requires the level kernel (profiles are level state) and the
-/// "kd" family with d >= 2; sc.par = round runs the stage on the sharded
-/// level kernel — identical output. Violations and unreadable or mismatched
+/// Staging requires the level kernel (profiles are level state, so
+/// kernel=level with par=round is refused) and the "kd" family with
+/// d >= 2. Violations and unreadable or mismatched
 /// snapshots (a profile whose n differs from the scenario's) throw
 /// cli_error / std::runtime_error with a precise message.
 bool run_snapshot_stage(const arg_parser& args, const scenario& sc,

@@ -8,7 +8,6 @@
 #include "core/baselines.hpp"
 #include "core/fault_injection.hpp"
 #include "core/level_process.hpp"
-#include "core/sharded_kernel.hpp"
 #include "rng/splitmix64.hpp"
 #include "support/cli.hpp"
 
@@ -185,7 +184,6 @@ ff_plan plan_fast_forward(const scenario& sc) {
             "'dchoice' and 'one_plus_beta' policies only, got policy '" +
             policy + "'");
     }
-    plan.sharded = sc.par == par_mode::round;
     return plan;
 }
 
@@ -264,10 +262,6 @@ level_profile steady_state_profile(const scenario& sc,
 
 any_process make_settled_process(const scenario& sc, const ff_plan& plan,
                                  level_profile initial, std::uint64_t seed) {
-    if (plan.sharded) {
-        return any_process(sharded_kd_level_process(std::move(initial), sc.k,
-                                                    sc.d, seed, sc.shards));
-    }
     switch (plan.policy) {
     case ff_plan::policy_kind::single:
         return any_process(
@@ -303,18 +297,8 @@ void fast_forwarded_process::run_balls(std::uint64_t balls) {
             : level_profile(sc_.n);
     inner_.emplace(
         make_settled_process(sc_, plan_, std::move(initial), seed_));
-    if (pool_ != nullptr) {
-        inner_->use_pool(pool_);
-    }
     if (split.settle_balls > 0) {
         inner_->run_balls(split.settle_balls);
-    }
-}
-
-void fast_forwarded_process::use_pool(thread_pool* pool) {
-    pool_ = pool;
-    if (inner_) {
-        inner_->use_pool(pool);
     }
 }
 

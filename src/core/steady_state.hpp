@@ -59,7 +59,6 @@ struct ff_split {
 struct ff_plan {
     enum class policy_kind { kd, single, dchoice, one_plus_beta };
     policy_kind policy = policy_kind::kd;
-    bool sharded = false; ///< par=round: settle on the sharded level kernel
 };
 
 /// Resolves the scenario's fast-forward plan, throwing cli_error with a
@@ -110,10 +109,6 @@ public:
 
     void run_balls(std::uint64_t balls);
 
-    /// Stored and handed to the settle kernel at materialization (only the
-    /// par=round sharded kernel uses it; a no-op otherwise).
-    void use_pool(thread_pool* pool);
-
     [[nodiscard]] process_observation observe() const;
     [[nodiscard]] std::vector<double> sorted_loads() const;
 
@@ -129,7 +124,6 @@ private:
     ff_plan plan_;
     std::uint64_t seed_;
     std::uint64_t ff_balls_ = 0;
-    thread_pool* pool_ = nullptr;
     std::optional<any_process> inner_;
 };
 

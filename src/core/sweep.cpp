@@ -1,57 +1,6 @@
 #include "core/sweep.hpp"
 
-#include "core/level_process.hpp"
-
 namespace kdc::core {
-
-sweep_cell make_kd_sweep_cell(std::string name, std::uint64_t n,
-                              std::uint64_t k, std::uint64_t d,
-                              const experiment_config& config,
-                              kernel_kind kernel) {
-    if (kernel == kernel_kind::level) {
-        return make_sweep_cell(std::move(name), config,
-                               [n, k, d](std::uint64_t seed) {
-                                   return kd_choice_level_process(n, k, d,
-                                                                  seed);
-                               });
-    }
-    return make_sweep_cell(std::move(name), config,
-                           [n, k, d](std::uint64_t seed) {
-                               return kd_choice_process(n, k, d, seed);
-                           });
-}
-
-sweep_cell make_single_choice_sweep_cell(std::string name, std::uint64_t n,
-                                         const experiment_config& config,
-                                         kernel_kind kernel) {
-    if (kernel == kernel_kind::level) {
-        return make_sweep_cell(std::move(name), config,
-                               [n](std::uint64_t seed) {
-                                   return single_choice_level_process(n,
-                                                                      seed);
-                               });
-    }
-    return make_sweep_cell(std::move(name), config,
-                           [n](std::uint64_t seed) {
-                               return single_choice_process(n, seed);
-                           });
-}
-
-sweep_cell make_d_choice_sweep_cell(std::string name, std::uint64_t n,
-                                    std::uint64_t d,
-                                    const experiment_config& config,
-                                    kernel_kind kernel) {
-    if (kernel == kernel_kind::level) {
-        return make_sweep_cell(std::move(name), config,
-                               [n, d](std::uint64_t seed) {
-                                   return d_choice_level_process(n, d, seed);
-                               });
-    }
-    return make_sweep_cell(std::move(name), config,
-                           [n, d](std::uint64_t seed) {
-                               return d_choice_process(n, d, seed);
-                           });
-}
 
 std::vector<sweep_outcome> run_sweep(thread_pool& pool,
                                      const std::vector<sweep_cell>& cells,

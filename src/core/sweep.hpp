@@ -65,23 +65,6 @@ template <typename Factory>
         }};
 }
 
-/// Kernel-parameterized cell factories for the standard processes: one
-/// call site in a bench serves both `--kernel=perbin` and `--kernel=level`
-/// (core/level_process.hpp) instead of duplicating every factory lambda.
-/// config.balls must be the resolved ball count, as for make_sweep_cell.
-[[nodiscard]] sweep_cell
-make_kd_sweep_cell(std::string name, std::uint64_t n, std::uint64_t k,
-                   std::uint64_t d, const experiment_config& config,
-                   kernel_kind kernel = kernel_kind::per_bin);
-[[nodiscard]] sweep_cell
-make_single_choice_sweep_cell(std::string name, std::uint64_t n,
-                              const experiment_config& config,
-                              kernel_kind kernel = kernel_kind::per_bin);
-[[nodiscard]] sweep_cell
-make_d_choice_sweep_cell(std::string name, std::uint64_t n, std::uint64_t d,
-                         const experiment_config& config,
-                         kernel_kind kernel = kernel_kind::per_bin);
-
 /// One cell's folded outcome. Under fixed_reps, `result` is bit-identical
 /// to run_experiment(config, factory) on the same cell; under an adaptive
 /// rule, result.reps.size() reports how many repetitions the stopping rule

@@ -9,20 +9,12 @@
 // the worker that owns it (thread_pool::run_phase hands out disjoint shard
 // indices), so loads need no locks and no atomics — the dispatcher
 // (serve/dispatcher.hpp) serializes phases with the pool's barrier instead.
-//
-// Next to the raw per-bin loads every shard keeps a level_profile mirror
-// of its stripe (counts-per-load-level, core/level_profile.hpp). Allocate
-// moves a bin up one level, release extracts it from its level and
-// reinserts it one below — the profile's extract/insert pair — which gives
-// the service O(max load) occupancy metrics per shard and keeps the merged
-// profile (merge_profiles) equal to the profile of the concatenated
-// stripes as an invariant the tests check.
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
-#include "core/level_profile.hpp"
 #include "core/sharded_kernel.hpp"
 #include "core/types.hpp"
 #include "support/contracts.hpp"
@@ -33,8 +25,7 @@ class bin_shard {
 public:
     /// The shard owning stripe `index` of `layout`, all bins empty.
     bin_shard(const core::shard_layout& layout, std::uint64_t index)
-        : begin_(layout.begin(index)), loads_(layout.size(index), 0),
-          profile_(layout.size(index)) {}
+        : begin_(layout.begin(index)), loads_(layout.size(index), 0) {}
 
     /// First global bin of the stripe.
     [[nodiscard]] std::uint64_t begin() const noexcept { return begin_; }
@@ -56,10 +47,7 @@ public:
     /// owning worker for the current phase — no synchronization inside.
     void commit_alloc(std::uint64_t bin) {
         KD_EXPECTS(bin >= begin_ && bin < end());
-        core::bin_load& load = loads_[bin - begin_];
-        profile_.ensure_levels(static_cast<std::uint64_t>(load) + 2);
-        profile_.move_bin(load, load + 1);
-        load += 1;
+        loads_[bin - begin_] += 1;
     }
 
     /// Removes one ball from `bin` (global id); the churn direction.
@@ -68,7 +56,6 @@ public:
         KD_EXPECTS(bin >= begin_ && bin < end());
         core::bin_load& load = loads_[bin - begin_];
         KD_EXPECTS_MSG(load > 0, "release of an empty bin");
-        profile_.move_bin(load, load - 1);
         load -= 1;
     }
 
@@ -77,21 +64,15 @@ public:
         return loads_;
     }
 
-    /// Counts-per-level mirror of the stripe; merge_profiles over all
-    /// shards equals the profile of the full service state.
-    [[nodiscard]] const core::level_profile& occupancy() const noexcept {
-        return profile_;
-    }
-
     /// Balls currently held by the stripe.
     [[nodiscard]] std::uint64_t balls_held() const noexcept {
-        return profile_.total_balls();
+        return std::accumulate(loads_.begin(), loads_.end(),
+                               std::uint64_t{0});
     }
 
 private:
     std::uint64_t begin_;
     core::load_vector loads_;
-    core::level_profile profile_;
 };
 
 } // namespace kdc::serve

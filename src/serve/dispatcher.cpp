@@ -225,7 +225,7 @@ dispatcher::process(const std::vector<request>& batch) {
     }
 
     // -- commit (parallel over shards): each shard applies its own bins'
-    // deltas in id order, to its loads and its level_profile mirror.
+    // deltas in id order, to its loads.
     core::fault_point(core::fault_site::serve_commit);
     run_phase(shards_.size(), [&](std::size_t s) {
         bin_shard& shard = shards_[s];
@@ -250,15 +250,6 @@ core::load_vector dispatcher::loads() const {
         all.insert(all.end(), shard.loads().begin(), shard.loads().end());
     }
     return all;
-}
-
-core::level_profile dispatcher::occupancy() const {
-    std::vector<core::level_profile> mirrors;
-    mirrors.reserve(shards_.size());
-    for (const bin_shard& shard : shards_) {
-        mirrors.push_back(shard.occupancy());
-    }
-    return core::merge_profiles(mirrors);
 }
 
 std::uint64_t dispatcher::balls_held() const noexcept {

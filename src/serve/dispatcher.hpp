@@ -20,9 +20,9 @@
 //           would see, so the chosen bins equal the serial oracle's
 //           (serve/service.hpp) choice for every batching;
 //   commit  (parallel over shards)    each shard applies its own bins'
-//           deltas, in batch id order per shard, to its loads and its
-//           level_profile mirror. Disjoint ownership makes this phase
-//           lock-free; +1/-1 deltas make cross-shard order irrelevant.
+//           deltas, in batch id order per shard, to its loads. Disjoint
+//           ownership makes this phase lock-free; +1/-1 deltas make
+//           cross-shard order irrelevant.
 //
 // Releases are resolved SERVER-side: a release names the id of an earlier
 // allocate, and the dispatcher keeps an id -> bins map of live allocations
@@ -40,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/level_profile.hpp"
 #include "core/sharded_kernel.hpp"
 #include "core/types.hpp"
 #include "serve/bin_shard.hpp"
@@ -86,10 +85,6 @@ public:
 
     /// Concatenation of the shard stripes: the full per-bin load vector.
     [[nodiscard]] core::load_vector loads() const;
-
-    /// merge_profiles over the shard mirrors — equals
-    /// level_profile::from_loads(loads()) by invariant.
-    [[nodiscard]] core::level_profile occupancy() const;
 
     /// Allocations not yet released (id -> bins).
     [[nodiscard]] std::uint64_t live_allocations() const noexcept {

@@ -13,6 +13,7 @@
 #include "core/exact.hpp"
 #include "core/process.hpp"
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "stats/hypothesis.hpp"
 #include "support/contracts.hpp"
 
@@ -258,21 +259,22 @@ TEST(LevelKernel, BillionBinSmoke) {
 }
 
 TEST(Runner, LevelKernelExperimentsAggregateLikePerBin) {
-    // Same statistics shape through the runner path, selected by kernel.
+    // Same statistics shape through the scenario path, selected by kernel.
     const kdc::core::experiment_config config{
         .balls = 0, .reps = 5, .seed = 17};
-    const auto level = kdc::core::run_kd_experiment(
-        512, 2, 4, config, kdc::core::kernel_kind::level);
+    const auto run = [&](const char* text) {
+        return kdc::core::run_scenario_experiment(
+            kdc::core::parse_scenario(text), config);
+    };
+    const auto level = run("kd:n=512,k=2,d=4,kernel=level");
     EXPECT_EQ(level.reps.size(), 5u);
     for (const auto& rep : level.reps) {
         EXPECT_EQ(rep.messages, (512 / 2) * 4u);
         EXPECT_GE(rep.max_load, 1u);
     }
-    const auto single = kdc::core::run_single_choice_experiment(
-        256, config, kdc::core::kernel_kind::level);
+    const auto single = run("single:n=256,kernel=level");
     EXPECT_EQ(single.reps.size(), 5u);
-    const auto d_choice = kdc::core::run_d_choice_experiment(
-        256, 2, config, kdc::core::kernel_kind::level);
+    const auto d_choice = run("dchoice:n=256,d=2,kernel=level");
     EXPECT_EQ(d_choice.reps.size(), 5u);
 }
 

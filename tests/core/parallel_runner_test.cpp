@@ -6,21 +6,29 @@
 #include <stdexcept>
 
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "support/contracts.hpp"
 
 namespace {
 
 using kdc::core::experiment_config;
 using kdc::core::experiment_result;
-using kdc::core::run_d_choice_experiment;
-using kdc::core::run_d_choice_experiment_parallel;
 using kdc::core::run_experiment;
-using kdc::core::run_kd_experiment;
-using kdc::core::run_kd_experiment_parallel;
 using kdc::core::run_parallel_experiment;
-using kdc::core::run_single_choice_experiment;
-using kdc::core::run_single_choice_experiment_parallel;
 using kdc::core::thread_pool;
+
+/// The serial reference: `text` (a per-bin scenario) through the scenario
+/// entry point.
+experiment_result serial(const char* text, const experiment_config& config) {
+    return kdc::core::run_scenario_experiment(kdc::core::parse_scenario(text),
+                                              config);
+}
+
+auto kd_factory(std::uint64_t n, std::uint64_t k, std::uint64_t d) {
+    return [=](std::uint64_t seed) {
+        return kdc::core::kd_choice_process(n, k, d, seed);
+    };
+}
 
 /// Rep-for-rep and aggregate-for-aggregate bitwise equality. running_stats
 /// and histogram aggregates are compared through their exact accessors, so
@@ -51,23 +59,33 @@ void expect_identical(const experiment_result& serial,
 
 TEST(ParallelRunner, MatchesSerialAtOneTwoAndEightThreads) {
     const experiment_config config{.balls = 512, .reps = 12, .seed = 42};
-    const auto serial = run_kd_experiment(512, 2, 4, config);
+    const auto reference = serial("kd:n=512,k=2,d=4,kernel=perbin", config);
     for (const unsigned threads : {1u, 2u, 8u}) {
         const auto parallel =
-            run_kd_experiment_parallel(512, 2, 4, config, threads);
-        expect_identical(serial, parallel);
+            run_parallel_experiment(config, kd_factory(512, 2, 4), threads);
+        expect_identical(reference, parallel);
     }
 }
 
 TEST(ParallelRunner, MatchesSerialForSingleAndDChoice) {
     const experiment_config config{.balls = 256, .reps = 9, .seed = 7};
     for (const unsigned threads : {1u, 2u, 8u}) {
-        expect_identical(run_single_choice_experiment(256, config),
-                         run_single_choice_experiment_parallel(256, config,
-                                                               threads));
-        expect_identical(run_d_choice_experiment(256, 3, config),
-                         run_d_choice_experiment_parallel(256, 3, config,
-                                                          threads));
+        expect_identical(
+            serial("single:n=256,kernel=perbin", config),
+            run_parallel_experiment(
+                config,
+                [](std::uint64_t seed) {
+                    return kdc::core::single_choice_process(256, seed);
+                },
+                threads));
+        expect_identical(
+            serial("dchoice:n=256,d=3,kernel=perbin", config),
+            run_parallel_experiment(
+                config,
+                [](std::uint64_t seed) {
+                    return kdc::core::d_choice_process(256, 3, seed);
+                },
+                threads));
     }
 }
 
@@ -85,21 +103,25 @@ TEST(ParallelRunner, MatchesSerialWithCustomFactory) {
 
 TEST(ParallelRunner, ZeroThreadsMeansHardwareConcurrency) {
     const experiment_config config{.balls = 128, .reps = 4, .seed = 11};
-    expect_identical(run_kd_experiment(128, 2, 4, config),
-                     run_kd_experiment_parallel(128, 2, 4, config, 0));
+    expect_identical(serial("kd:n=128,k=2,d=4,kernel=perbin", config),
+                     run_parallel_experiment(config, kd_factory(128, 2, 4), 0));
 }
 
 TEST(ParallelRunner, MoreThreadsThanRepsIsFine) {
     const experiment_config config{.balls = 64, .reps = 2, .seed = 5};
-    expect_identical(run_kd_experiment(64, 2, 4, config),
-                     run_kd_experiment_parallel(64, 2, 4, config, 16));
+    expect_identical(serial("kd:n=64,k=2,d=4,kernel=perbin", config),
+                     run_parallel_experiment(config, kd_factory(64, 2, 4), 16));
 }
 
 TEST(ParallelRunner, DefaultBallsRoundsDownToWholeRounds) {
-    // n = 100, k = 3: serial and parallel must agree on the 99-ball default.
+    // n = 100, k = 3: the scenario default is the 99-ball whole-rounds
+    // count, exactly what the parallel runner gets from whole_rounds_balls.
     const experiment_config config{.balls = 0, .reps = 3, .seed = 2};
-    expect_identical(run_kd_experiment(100, 3, 7, config),
-                     run_kd_experiment_parallel(100, 3, 7, config, 4));
+    const experiment_config whole_rounds{
+        .balls = kdc::core::whole_rounds_balls(100, 3), .reps = 3, .seed = 2};
+    expect_identical(serial("kd:n=100,k=3,d=7,kernel=perbin", config),
+                     run_parallel_experiment(whole_rounds,
+                                             kd_factory(100, 3, 7), 4));
 }
 
 TEST(ParallelRunner, PropagatesFactoryExceptions) {
@@ -119,7 +141,7 @@ TEST(ParallelRunner, PropagatesFactoryExceptions) {
 
 TEST(ParallelRunner, RejectsZeroReps) {
     const experiment_config config{.balls = 16, .reps = 0, .seed = 1};
-    EXPECT_THROW((void)run_kd_experiment_parallel(16, 2, 4, config, 2),
+    EXPECT_THROW((void)run_parallel_experiment(config, kd_factory(16, 2, 4), 2),
                  kdc::contract_violation);
 }
 

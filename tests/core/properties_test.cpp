@@ -15,21 +15,32 @@
 #include "core/metrics.hpp"
 #include "core/process.hpp"
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "stats/hypothesis.hpp"
 #include "theory/bounds.hpp"
 
 namespace {
 
 using kdc::core::experiment_config;
-using kdc::core::run_kd_experiment;
+using kdc::core::experiment_result;
 
 constexpr std::uint64_t property_n = 4096;
 constexpr std::uint32_t property_reps = 25;
 
+/// `family` at property_n bins on the per-bin reference kernel.
+experiment_result perbin_experiment(const char* family, std::uint64_t k,
+                                    std::uint64_t d,
+                                    const experiment_config& config) {
+    return kdc::core::run_scenario_experiment(
+        {.family = family, .n = property_n, .k = k, .d = d,
+         .kernel = kdc::core::kernel_choice::per_bin},
+        config);
+}
+
 double mean_max_load(std::uint64_t k, std::uint64_t d, std::uint64_t seed,
                      std::uint64_t balls = property_n) {
-    const auto result = run_kd_experiment(
-        property_n, k, d,
+    const auto result = perbin_experiment(
+        "kd", k, d,
         {.balls = balls - (balls % k), .reps = property_reps, .seed = seed});
     return result.max_load_stats.mean();
 }
@@ -178,16 +189,17 @@ TEST(SpecialCases, NearDiagonalApproachesSingleChoice) {
     // (64,65)-choice still noticeably beats single choice (the paper's
     // Section 1.2 remark).
     const double near_diag = mean_max_load(64, 65, 71);
-    const auto single = kdc::core::run_single_choice_experiment(
-        property_n, {.balls = property_n, .reps = property_reps, .seed = 81});
+    const auto single = perbin_experiment(
+        "single", 1, 2,
+        {.balls = property_n, .reps = property_reps, .seed = 81});
     EXPECT_LT(near_diag, single.max_load_stats.mean() - slack);
 }
 
 TEST(SpecialCases, ConstantLoadRegimeAtDTwiceK) {
     // k = polylog n, d = 2k: Theorem 1(i) promises O(1) max load with 2n
     // messages. At n = 4096, ln^2 n ~ 69; use k = 64, d = 128.
-    const auto result = run_kd_experiment(
-        property_n, 64, 128,
+    const auto result = perbin_experiment(
+        "kd", 64, 128,
         {.balls = property_n, .reps = property_reps, .seed = 91});
     EXPECT_LE(result.max_load_values.max_value(), 3u);
     for (const auto& rep : result.reps) {

@@ -1,5 +1,5 @@
 // The behavioural contract of the scenario API: cells and experiments
-// built from scenarios are BYTE-identical to the legacy factories for
+// built from scenarios are BYTE-identical to hand-written factories for
 // equivalent settings, and the new level-compressed weighted / (1+beta)
 // kernels are distributionally identical to their per-bin counterparts
 // (two-sample KS at n = 10^4).
@@ -116,7 +116,9 @@ TEST(ScenarioEquivalence, EveryBaselinePolicyMatchesItsLegacyProcess) {
 TEST(ScenarioEquivalence, ScenarioExperimentMatchesLegacyRunner) {
     constexpr std::uint64_t n = 2048;
     const experiment_config config{.balls = n, .reps = 5, .seed = 11};
-    const auto legacy = run_kd_experiment(n, 2, 4, config);
+    const auto legacy = run_experiment(config, [](std::uint64_t seed) {
+        return kd_choice_process(n, 2, 4, seed);
+    });
     const auto via_scenario = run_scenario_experiment(
         parse_scenario("kd:n=2048,k=2,d=4,kernel=perbin"), config);
     ASSERT_EQ(legacy.reps.size(), via_scenario.reps.size());
@@ -331,36 +333,48 @@ TEST(ScenarioEquivalence, SweepCellMetricFollowsTheScenario) {
 TEST(ScenarioEquivalence, ParRoundMatchesParRepByteForByte) {
     // par=round swaps the execution strategy, never the numbers: through
     // the registry, a sharded repetition is byte-identical to the serial
-    // one for both kernels, at every shard count, with or without a pool.
-    for (const char* kernel : {"perbin", "level"}) {
-        const auto serial = parse_scenario(
-            std::string("kd:n=10000,k=3,d=8,kernel=") + kernel);
-        const auto base_rep = run_scenario_repetition(serial, 42, 10'000 * 3);
-        for (const char* shards : {"auto", "1", "4", "64"}) {
-            auto sharded = parse_scenario(
-                std::string("kd:n=10000,k=3,d=8,par=round,kernel=") +
-                kernel + ",shards=" + shards);
-            const auto inline_rep =
-                run_scenario_repetition(sharded, 42, 10'000 * 3);
-            EXPECT_TRUE(same_rep(base_rep, inline_rep))
-                << kernel << " shards=" << shards;
-            for (const unsigned threads : {1u, 2u, 8u}) {
-                thread_pool pool(threads);
-                const auto pooled_rep = run_scenario_repetition(
-                    sharded, 42, 10'000 * 3, &pool);
-                EXPECT_TRUE(same_rep(base_rep, pooled_rep))
-                    << kernel << " shards=" << shards
-                    << " threads=" << threads;
-            }
+    // per-bin one at every shard count, with or without a pool.
+    const auto serial = parse_scenario("kd:n=10000,k=3,d=8,kernel=perbin");
+    const auto base_rep = run_scenario_repetition(serial, 42, 10'000 * 3);
+    for (const char* shards : {"auto", "1", "4", "64"}) {
+        auto sharded = parse_scenario(
+            std::string("kd:n=10000,k=3,d=8,par=round,kernel=perbin,shards=") +
+            shards);
+        const auto inline_rep =
+            run_scenario_repetition(sharded, 42, 10'000 * 3);
+        EXPECT_TRUE(same_rep(base_rep, inline_rep)) << "shards=" << shards;
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            thread_pool pool(threads);
+            const auto pooled_rep = run_scenario_repetition(
+                sharded, 42, 10'000 * 3, &pool);
+            EXPECT_TRUE(same_rep(base_rep, pooled_rep))
+                << "shards=" << shards << " threads=" << threads;
         }
+    }
+}
+
+TEST(ScenarioEquivalence, ParRoundAutoKernelIsThePerBinKernel) {
+    // kernel=auto under par=round resolves to perbin, so the round-parallel
+    // scenario is byte-identical to the per-bin par=rep one.
+    const auto sharded = parse_scenario("kd:n=10000,k=3,d=8,par=round");
+    EXPECT_EQ(resolve_kernel(sharded), kernel_kind::per_bin);
+    const auto serial =
+        parse_scenario("kd:n=10000,k=3,d=8,kernel=perbin,par=rep");
+    thread_pool pool(4);
+    for (const std::uint64_t seed : {7ull, 42ull}) {
+        EXPECT_TRUE(same_rep(
+            run_scenario_repetition(serial, seed, 10'000 * 3),
+            run_scenario_repetition(sharded, seed, 10'000 * 3, &pool)))
+            << seed;
     }
 }
 
 TEST(ScenarioEquivalence, ParRoundExperimentMatchesSerialExperiment) {
     // Whole experiments (multiple repetitions, rep-order folds) agree too,
     // on the pool-sharing engine overload.
-    const auto serial = parse_scenario("kd:n=4096,k=2,d=4");
-    auto sharded = parse_scenario("kd:n=4096,k=2,d=4,par=round,shards=8");
+    const auto serial = parse_scenario("kd:n=4096,k=2,d=4,kernel=perbin");
+    auto sharded =
+        parse_scenario("kd:n=4096,k=2,d=4,kernel=perbin,par=round,shards=8");
     const experiment_config config{.balls = 8192, .reps = 5, .seed = 9};
     const auto a = run_scenario_experiment(serial, config);
     thread_pool pool(4);

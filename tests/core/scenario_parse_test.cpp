@@ -159,6 +159,9 @@ TEST(ScenarioParse, AutoKernelPicksLevelWhereSupported) {
     EXPECT_EQ(resolve_kernel(parse_scenario(
                   "kd:n=512,k=2,d=4,replacement=without")),
               kernel_kind::per_bin);
+    // ... and so does par=round: the round-parallel kernel is per-bin.
+    EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4,par=round")),
+              kernel_kind::per_bin);
     // Explicit kernels are honored as-is.
     EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4,"
                                             "kernel=perbin")),
@@ -333,6 +336,11 @@ TEST(ScenarioParse, ParAndShardsErrorsArePrecise) {
     EXPECT_NE(parse_error("kd:n=512,k=2,d=4,replacement=without,par=round")
                   .find("with-replacement"),
               std::string::npos);
+    // ... and only the per-bin kernel: level rounds are inherently serial.
+    EXPECT_EQ(parse_error("kd:n=512,k=2,d=4,kernel=level,par=round"),
+              "kernel=level has no round-parallel kernel (every level round "
+              "depends on the exact current profile); use kernel=level with "
+              "par=rep, or par=round with kernel=perbin or kernel=auto");
 
     // par=rep stays valid for all of those scenarios.
     EXPECT_EQ(parse_error("kd:n=512,k=2,d=4,replacement=without,par=rep"),

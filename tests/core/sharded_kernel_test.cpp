@@ -1,5 +1,5 @@
-// The sharded round-parallel kernels' one non-negotiable contract: output
-// byte-identical to the serial kernels at EVERY shard count and EVERY
+// The sharded round-parallel kernel's one non-negotiable contract: output
+// byte-identical to the serial kernel at EVERY shard count and EVERY
 // thread count. The equivalence suite here is the machine-checked version
 // of the exactness argument in core/sharded_kernel.hpp.
 #include "core/sharded_kernel.hpp"
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/level_process.hpp"
 #include "core/process.hpp"
 #include "core/thread_pool.hpp"
 
@@ -162,75 +161,6 @@ TEST(ShardedKernel, ContractViolationsThrow) {
     sharded_kd_process process(10, 3, 4, 1);
     EXPECT_THROW(process.run_balls(2), // not a whole round
                  kdc::contract_violation);
-}
-
-// Level kernel: profile() replays kd_choice_level_process exactly.
-TEST(ShardedLevelKernel, ProfileByteIdenticalToSerialAcrossShards) {
-    constexpr std::uint64_t n = 10'000;
-    constexpr std::uint64_t k = 3;
-    constexpr std::uint64_t d = 8;
-    kd_choice_level_process reference(n, k, d, 77);
-    reference.run_balls(3 * n);
-    for (const std::uint64_t shards : {1ull, 4ull, 64ull}) {
-        sharded_kd_level_process process(n, k, d, 77, shards);
-        process.run_balls(3 * n);
-        ASSERT_EQ(process.profile(), reference.profile())
-            << "shards=" << shards;
-        EXPECT_EQ(process.balls_placed(), reference.balls_placed());
-        EXPECT_EQ(process.messages(), reference.messages());
-    }
-}
-
-TEST(ShardedLevelKernel, ShardProfilesMergeBackToTheProfile) {
-    sharded_kd_level_process process(5000, 2, 6, 13, 7);
-    process.run_balls(10'000);
-    EXPECT_EQ(process.shard_count(), 7u);
-    EXPECT_EQ(merge_profiles(process.shard_profiles()), process.profile());
-    std::uint64_t bins = 0;
-    for (const auto& shard : process.shard_profiles()) {
-        bins += shard.n();
-    }
-    EXPECT_EQ(bins, 5000u);
-}
-
-TEST(ShardedLevelKernel, SnapshotConstructorResumesExactly) {
-    kd_choice_level_process warm(2000, 2, 5, 3);
-    warm.run_balls(4000);
-    const level_profile snapshot = warm.profile();
-
-    kd_choice_level_process reference(snapshot, 2, 5, 21);
-    reference.run_balls(2000);
-    sharded_kd_level_process process(snapshot, 2, 5, 21, 5);
-    process.run_balls(2000);
-    EXPECT_EQ(process.profile(), reference.profile());
-}
-
-TEST(SplitProfile, RoundTripsThroughMerge) {
-    kd_choice_level_process warm(999, 2, 4, 8);
-    warm.run_balls(4 * 998);
-    const level_profile profile = warm.profile();
-    for (const std::uint64_t shards : {1ull, 2ull, 7ull, 999ull}) {
-        const auto parts = split_profile(profile, shards);
-        ASSERT_EQ(parts.size(), shards);
-        const shard_layout layout(profile.n(), shards);
-        for (std::uint64_t s = 0; s < shards; ++s) {
-            EXPECT_EQ(parts[s].n(), layout.size(s));
-        }
-        EXPECT_EQ(merge_profiles(parts), profile);
-    }
-}
-
-TEST(SplitProfile, DealsBinsBottomUpInIndexOrder) {
-    // 4 bins at levels {0, 0, 1, 2} split into 2 shards of 2: the dealing
-    // rule walks levels bottom-up, so shard 0 takes the two level-0 bins.
-    level_profile profile = level_profile::from_counts({2, 1, 1});
-    const auto parts = split_profile(profile, 2);
-    ASSERT_EQ(parts.size(), 2u);
-    EXPECT_EQ(parts[0].bins_at(0), 2u);
-    EXPECT_EQ(parts[0].total_balls(), 0u);
-    EXPECT_EQ(parts[1].bins_at(1), 1u);
-    EXPECT_EQ(parts[1].bins_at(2), 1u);
-    EXPECT_EQ(parts[1].total_balls(), 3u);
 }
 
 } // namespace

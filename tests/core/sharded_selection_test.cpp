@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/level_process.hpp"
 #include "core/process.hpp"
 #include "core/thread_pool.hpp"
 
@@ -80,7 +79,7 @@ TEST(ShardedSelection, DuplicateSaturatedRoundsStayExact) {
 }
 
 // The property the ISSUE names: segments {1, 2, 7, 64} x threads {1, 2, 8}
-// never change the output of either sharded kernel.
+// never change the output of the sharded kernel.
 TEST(ShardedSelection, SegmentAndThreadGridNeverChangesPerBinOutput) {
     constexpr std::uint64_t n = 10'000;
     constexpr std::uint64_t k = 3;
@@ -98,24 +97,6 @@ TEST(ShardedSelection, SegmentAndThreadGridNeverChangesPerBinOutput) {
             EXPECT_EQ(process.loads(), expected)
                 << "threads=" << threads << " selpar=" << selpar;
         }
-    }
-}
-
-TEST(ShardedSelection, SegmentGridNeverChangesLevelKernelOutput) {
-    constexpr std::uint64_t n = 2000;
-    constexpr std::uint64_t k = 2;
-    constexpr std::uint64_t d = 6;
-    constexpr std::uint64_t seed = 31;
-    constexpr std::uint64_t balls = 4000;
-
-    kd_choice_level_process reference(n, k, d, seed);
-    reference.run_balls(balls);
-    for (const std::uint64_t selpar : {1ull, 7ull, 64ull}) {
-        sharded_kd_level_process process(n, k, d, seed, /*shards=*/4, selpar);
-        process.run_balls(balls);
-        EXPECT_EQ(process.profile(), reference.profile())
-            << "selpar=" << selpar;
-        EXPECT_EQ(process.selection_segments(), selpar);
     }
 }
 

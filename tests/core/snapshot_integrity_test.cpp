@@ -258,6 +258,37 @@ TEST(SnapshotStage, ResumeRejectsCorruptAndMismatchedSnapshots) {
                  cli_error);
 }
 
+TEST(SnapshotStage, LevelParRoundResumeIsACliErrorNotAnAbort) {
+    const std::string dir = ::testing::TempDir();
+    const std::string snap = dir + "level_par_round.profile";
+    const std::string out_path = snap + ".next";
+    for (const auto& p : {snap, out_path}) {
+        std::remove(p.c_str());
+        std::remove((p + ".journal").c_str());
+    }
+    stage_args writer({"--snapshot-out=" + snap});
+    auto sc = stage_scenario();
+    std::ostringstream out;
+    ASSERT_TRUE(kdc::core::run_snapshot_stage(writer.args, sc, 4, out));
+
+    // There is no round-parallel level kernel to resume on: the stage is
+    // refused before anything is read or written.
+    sc.par = kdc::core::par_mode::round;
+    sc.shards = 8;
+    stage_args resumer({"--resume=" + snap, "--snapshot-out=" + out_path});
+    std::ostringstream ignored;
+    try {
+        (void)kdc::core::run_snapshot_stage(resumer.args, sc, 5, ignored);
+        ADD_FAILURE() << "kernel=level,par=round stage was not refused";
+    } catch (const cli_error& err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "kernel=level has no round-parallel kernel"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_FALSE(std::ifstream(out_path).good());
+}
+
 TEST(SnapshotStage, InjectedIoErrorIsRetriedToAnIdenticalSnapshot) {
     const std::string dir = ::testing::TempDir();
     const std::string clean_path = dir + "retry_clean.profile";

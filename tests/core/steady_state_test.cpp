@@ -107,12 +107,6 @@ TEST(FastForwardPlan, ResolvesPoliciesAndRejectsUnsupported) {
                   parse_scenario("one_plus_beta:n=1024,beta=0.5"))
                   .policy,
               ff_plan::policy_kind::one_plus_beta);
-    EXPECT_TRUE(
-        plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4,par=round"))
-            .sharded);
-    EXPECT_FALSE(
-        plan_fast_forward(parse_scenario("kd:n=1024,k=2,d=4")).sharded);
-
     // The per-bin kernel keeps state the fast-forward cannot synthesize.
     const auto kernel_message =
         parse_error("kd:n=1024,k=2,d=4,kernel=perbin,warmup=ff");
@@ -123,6 +117,20 @@ TEST(FastForwardPlan, ResolvesPoliciesAndRejectsUnsupported) {
     EXPECT_NE(policy_message.find("warmup=ff knows the steady-state shape"),
               std::string::npos);
     EXPECT_NE(policy_message.find("'weighted'"), std::string::npos);
+}
+
+TEST(FastForwardPlan, LevelParRoundIsACliErrorNotAnAbort) {
+    // There is no round-parallel level kernel to fast-forward: the grammar,
+    // the plan and the factory all answer with the same precise cli_error.
+    const auto message =
+        parse_error("kd:n=1024,k=2,d=4,kernel=level,par=round,warmup=ff");
+    EXPECT_NE(message.find("kernel=level has no round-parallel kernel"),
+              std::string::npos)
+        << message;
+    scenario sc = parse_scenario("kd:n=1024,k=2,d=4,kernel=level,warmup=ff");
+    sc.par = kdc::core::par_mode::round;
+    EXPECT_THROW((void)plan_fast_forward(sc), cli_error);
+    EXPECT_THROW((void)make_process(sc, /*seed=*/1), cli_error);
 }
 
 TEST(WarmupGrammar, ParsesRoundTripsAndValidates) {
@@ -144,7 +152,6 @@ TEST(SteadyStateProfile, ExactBinsAndBallsForEveryPolicy) {
     const steady_state_options options{.pilot_bins = 4096, .pilot_reps = 2};
     const std::vector<std::string> texts{
         "kd:n=20000,k=8,d=16,kernel=level",
-        "kd:n=20000,k=8,d=16,kernel=level,par=round",
         "single:n=20000",
         "dchoice:n=20000,d=2",
         "one_plus_beta:n=20000,beta=0.5",

@@ -165,6 +165,17 @@ TEST(DocsGrammar, ErrorCatalogCoversUnknownKeyMessage) {
     }
     EXPECT_NE(page.find(expected), std::string::npos)
         << "docs error catalog is missing or stale: " << expected;
+
+    // The kernel=level + par=round refusal is transcribed verbatim too.
+    std::string level_round;
+    try {
+        (void)parse_scenario("kd:n=512,k=2,d=4,kernel=level,par=round");
+    } catch (const cli_error& err) {
+        level_round = err.what();
+    }
+    ASSERT_FALSE(level_round.empty());
+    EXPECT_NE(page.find(level_round), std::string::npos)
+        << "docs error catalog is missing or stale: " << level_round;
 }
 
 // ---------------------------------------------------------------------------

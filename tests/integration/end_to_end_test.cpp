@@ -16,14 +16,30 @@ namespace {
 
 using kdc::core::compute_load_metrics;
 using kdc::core::experiment_config;
+using kdc::core::experiment_result;
 using kdc::core::kd_choice_process;
-using kdc::core::run_kd_experiment;
-using kdc::core::run_single_choice_experiment;
 
 constexpr std::uint64_t mini_n = 3ULL << 10; // Table 1 at 1/64 scale
 
+/// (k,d)-choice on the per-bin reference kernel, through the scenario API.
+experiment_result kd_experiment(std::uint64_t n, std::uint64_t k,
+                                std::uint64_t d,
+                                const experiment_config& config) {
+    return kdc::core::run_scenario_experiment(
+        {.n = n, .k = k, .d = d, .kernel = kdc::core::kernel_choice::per_bin},
+        config);
+}
+
+experiment_result single_choice_experiment(std::uint64_t n,
+                                           const experiment_config& config) {
+    return kdc::core::run_scenario_experiment(
+        {.family = "single", .n = n,
+         .kernel = kdc::core::kernel_choice::per_bin},
+        config);
+}
+
 TEST(Table1Mini, SingleChoiceColumnMagnitude) {
-    const auto result = run_single_choice_experiment(
+    const auto result = single_choice_experiment(
         mini_n, {.balls = mini_n, .reps = 10, .seed = 1});
     // ln n / ln ln n ~ 3.9 at this n; measured single-choice max load at
     // this scale lands in 5..9.
@@ -35,7 +51,7 @@ TEST(Table1Mini, MaxLoadDecreasesAlongTheDAxis) {
     // Within the k=1 row of Table 1, mean max load is non-increasing in d.
     double prev = 1e9;
     for (const std::uint64_t d : {2ULL, 3ULL, 5ULL, 9ULL, 17ULL}) {
-        const auto result = run_kd_experiment(
+        const auto result = kd_experiment(
             mini_n, 1, d, {.balls = mini_n, .reps = 10, .seed = 2});
         const double mean = result.max_load_stats.mean();
         EXPECT_LE(mean, prev + 0.11) << "d=" << d;
@@ -46,9 +62,9 @@ TEST(Table1Mini, MaxLoadDecreasesAlongTheDAxis) {
 TEST(Table1Mini, NearDiagonalCellsDegradeGracefully) {
     // Along the diagonal k = d-1, max load grows as k grows (toward the
     // single-choice limit) — the staircase visible in Table 1.
-    const auto small = run_kd_experiment(
+    const auto small = kd_experiment(
         mini_n, 2, 3, {.balls = mini_n, .reps = 10, .seed = 3});
-    const auto large = run_kd_experiment(
+    const auto large = kd_experiment(
         mini_n, 96, 97, {.balls = mini_n, .reps = 10, .seed = 4});
     EXPECT_LE(small.max_load_stats.mean(), large.max_load_stats.mean());
 }
@@ -58,7 +74,7 @@ TEST(Table1Mini, WideDCellsReachTwo) {
     for (const auto& [k, d] :
          std::vector<std::pair<std::uint64_t, std::uint64_t>>{
              {1, 49}, {2, 49}, {8, 49}, {16, 193}, {64, 193}}) {
-        const auto result = run_kd_experiment(
+        const auto result = kd_experiment(
             mini_n, k, d, {.balls = mini_n - (mini_n % k), .reps = 10,
                            .seed = 5});
         EXPECT_LE(result.max_load_values.max_value(), 3u)
@@ -75,7 +91,7 @@ TEST(Theorem1Envelope, MeasuredWithinBoundsAcrossRegimes) {
          std::vector<std::pair<std::uint64_t, std::uint64_t>>{
              {1, 2}, {2, 4}, {8, 16},      // dk small
              {31, 32}, {95, 96}}) {        // dk large
-        const auto result = run_kd_experiment(
+        const auto result = kd_experiment(
             mini_n, k, d,
             {.balls = mini_n - (mini_n % k), .reps = 10, .seed = 6});
         const auto bound = kdc::theory::theorem1_bound(mini_n, k, d);
@@ -123,7 +139,7 @@ TEST(TradeoffClaim, ConstantLoadWithTwoNMessages) {
     // Section 1.1: k = Theta(polylog n), d = 2k gives O(1) max load at
     // message cost exactly 2n.
     const std::uint64_t k = 96; // ~ ln^2 n at mini_n
-    const auto result = run_kd_experiment(
+    const auto result = kd_experiment(
         mini_n, k, 2 * k, {.balls = mini_n, .reps = 10, .seed = 9});
     EXPECT_LE(result.max_load_values.max_value(), 3u);
     for (const auto& rep : result.reps) {
@@ -136,9 +152,9 @@ TEST(TradeoffClaim, NearMinimalMessagesStillBeatSingleChoice) {
     // single choice.
     const std::uint64_t k = 384;
     const std::uint64_t d = k + 8; // ~ k + ln n
-    const auto kd = run_kd_experiment(
+    const auto kd = kd_experiment(
         mini_n, k, d, {.balls = mini_n, .reps = 10, .seed = 10});
-    const auto single = run_single_choice_experiment(
+    const auto single = single_choice_experiment(
         mini_n, {.balls = mini_n, .reps = 10, .seed = 11});
     EXPECT_LT(kd.max_load_stats.mean(), single.max_load_stats.mean());
     const double cost_ratio =
@@ -179,9 +195,9 @@ TEST(CrossRng, Pcg32DrivenSamplingAgreesWithXoshiro) {
 TEST(HeavyLoad, GapStabilizesForDChoiceFlavors) {
     // Berenbrink et al.: the two-choice gap is independent of m. Check the
     // gap at m = 4n vs m = 16n stays within a small band for (2,4).
-    const auto light = run_kd_experiment(
+    const auto light = kd_experiment(
         1024, 2, 4, {.balls = 4 * 1024, .reps = 10, .seed = 12});
-    const auto heavy = run_kd_experiment(
+    const auto heavy = kd_experiment(
         1024, 2, 4, {.balls = 16 * 1024, .reps = 10, .seed = 13});
     EXPECT_NEAR(light.gap_stats.mean(), heavy.gap_stats.mean(), 1.5);
 }

@@ -1,6 +1,5 @@
 // Dispatcher invariants that hold batch by batch: shard-count invariance,
-// the level_profile mirror, release bookkeeping, message accounting, and
-// the id-order precondition.
+// release bookkeeping, message accounting, and the id-order precondition.
 #include "serve/dispatcher.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/level_profile.hpp"
 #include "core/thread_pool.hpp"
 #include "serve/channel.hpp"
 #include "support/contracts.hpp"
@@ -99,19 +97,6 @@ TEST(Dispatcher, BatchingNeverChangesTheOutcome) {
         EXPECT_EQ(batched[i].bins, singles[i].bins);
     }
     EXPECT_EQ(one_by_one.loads(), all_at_once.loads());
-}
-
-TEST(Dispatcher, OccupancyMirrorsTheLoadVector) {
-    dispatcher_config config;
-    config.bins = 50;
-    config.k = 4;
-    config.d = 8;
-    config.seed = 3;
-    config.shards = 7;
-    dispatcher dispatch(config, nullptr);
-    (void)dispatch.process(allocates(20, 0));
-    EXPECT_EQ(dispatch.occupancy(),
-              core::level_profile::from_loads(dispatch.loads()));
 }
 
 TEST(Dispatcher, ReleaseUndoesItsAllocate) {
@@ -217,7 +202,7 @@ TEST(Dispatcher, PoolBackedPhasesMatchSerial) {
         }
     }
     EXPECT_EQ(serial.loads(), parallel.loads());
-    EXPECT_EQ(serial.occupancy(), parallel.occupancy());
+    EXPECT_EQ(serial.balls_held(), parallel.balls_held());
 }
 
 } // namespace

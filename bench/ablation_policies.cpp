@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
             {.balls = balls, .reps = reps, .seed = cfg_seed}));
         auto greedy = standard;
         greedy.family = "greedy";
-        greedy.probe = kdc::core::probe_policy::uniform;
         // greedy has no level kernel; auto degrades to perbin so a
         // kernel=level scenario still runs the whole ablation.
         greedy.kernel = kdc::core::kernel_choice::auto_pick;

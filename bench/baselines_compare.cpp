@@ -14,8 +14,8 @@
 //
 // Every scheme is a declarative scenario run through
 // run_scenario_experiment (core/scenario.hpp): single/d-choice, (1+beta)
-// and the adaptive threshold baseline are policy-registry entries, so one
-// code path constructs them all. --scenario overrides the legacy flags key
+// and the adaptive threshold baseline are scenario families, so one code
+// path constructs them all. --scenario overrides the legacy flags key
 // by key (byte-identical output for equivalent settings).
 #include <iostream>
 #include <vector>
@@ -62,26 +62,22 @@ int main(int argc, char** argv) {
              result.max_load_set()});
     };
 
-    using kdc::core::probe_policy;
     auto kd = [&](std::uint64_t k, std::uint64_t d) {
         auto sc = merged;
         sc.family = "kd";
-        sc.probe = probe_policy::uniform;
         sc.k = k;
         sc.d = d;
         return sc;
     };
     auto one_plus_beta = [&](double beta) {
         auto sc = merged;
-        sc.family = "kd";
-        sc.probe = probe_policy::one_plus_beta;
+        sc.family = "one_plus_beta";
         sc.beta = beta;
         return sc;
     };
     auto dchoice = [&](std::uint64_t d) {
         auto sc = merged;
         sc.family = "dchoice";
-        sc.probe = probe_policy::uniform;
         sc.k = 1;
         sc.d = d;
         return sc;
@@ -90,7 +86,6 @@ int main(int argc, char** argv) {
     {
         auto sc = merged;
         sc.family = "single";
-        sc.probe = probe_policy::uniform;
         run("1.0", "single choice", sc, n);
     }
 
@@ -110,8 +105,7 @@ int main(int argc, char** argv) {
 
     {
         auto sc = merged;
-        sc.family = "kd";
-        sc.probe = probe_policy::threshold;
+        sc.family = "threshold";
         sc.threshold = 2;
         sc.cap = 16;
         run("~1.1", "adaptive T=2 cap=16", sc, n);

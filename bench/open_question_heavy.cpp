@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
             auto cell_sc = merged;
             if (cfg.k == 0) {
                 cell_sc.family = "single";
-                cell_sc.probe = kdc::core::probe_policy::uniform;
                 cells.push_back(kdc::core::make_scenario_cell(
                     name, cell_sc,
                     {.balls = m, .reps = reps, .seed = point_seed}));

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
                                       ") m/n=" + std::to_string(factor);
             auto bracket = merged;
             bracket.family = "dchoice";
-            bracket.probe = kdc::core::probe_policy::uniform;
             bracket.k = 1;
             bracket.d = cfg.d - cfg.k + 1;
             cells.push_back(kdc::core::make_scenario_cell(

@@ -20,7 +20,7 @@
 //
 // Every scheme on the frontier is a declarative scenario
 // (core/scenario.hpp): single choice, d-choice, the (1+beta) mixture and
-// the adaptive threshold baseline are all policy-registry entries, so one
+// the adaptive threshold baseline are all scenario families, so one
 // make_scenario_cell call constructs each of them. --scenario overrides
 // the legacy flags key by key (kernel=level/auto applies to every cell
 // whose policy has a level kernel; the threshold baseline is per-bin
@@ -74,28 +74,24 @@ int main(int argc, char** argv) {
     {
         auto sc = merged;
         sc.family = "single";
-        sc.probe = kdc::core::probe_policy::uniform;
         add_scenario("single choice", sc, n);
     }
     {
         auto sc = merged;
-        sc.family = "kd";
-        sc.probe = kdc::core::probe_policy::one_plus_beta;
+        sc.family = "one_plus_beta";
         sc.beta = 0.5;
         add_scenario("(1+beta), beta=0.5", sc, n);
     }
     for (const std::uint64_t d : {2, 4}) {
         auto sc = merged;
         sc.family = "dchoice";
-        sc.probe = kdc::core::probe_policy::uniform;
         sc.k = 1;
         sc.d = d;
         add_scenario(std::to_string(d) + "-choice", sc, n);
     }
     {
         auto sc = merged;
-        sc.family = "kd";
-        sc.probe = kdc::core::probe_policy::threshold;
+        sc.family = "threshold";
         sc.threshold = 2;
         sc.cap = 16;
         add_scenario("adaptive T=2 (Czumaj-Stemann flavor)", sc, n);
@@ -116,7 +112,6 @@ int main(int argc, char** argv) {
     for (const auto& cfg : kd_configs) {
         auto sc = merged;
         sc.family = "kd";
-        sc.probe = kdc::core::probe_policy::uniform;
         sc.k = cfg.k;
         sc.d = cfg.d;
         add_scenario(cfg.note, sc, kdc::core::whole_rounds_balls(n, cfg.k));

@@ -15,10 +15,11 @@
 // per-repetition weighted max load.
 //
 //   ./weighted_gap [--n=65536] [--rounds-factor=4] [--reps=5] [--threads=0]
-//                  [--csv] [--scenario "kd:n=...,kernel=level,metric=gap"]
-//                  [--adaptive --ci-width=0.4 --max-reps=40]
+//                  [--csv] [--adaptive --ci-width=0.4 --max-reps=40]
+//                  [--scenario "weighted:n=...,kernel=level,metric=gap"]
 //
-// --scenario (core/scenario.hpp) sets the shared knobs: n, the simulation
+// --scenario (core/scenario.hpp) must stay in the weighted family (write
+// `weighted:` or no prefix) and sets the shared knobs: n, the simulation
 // kernel (kernel=level runs every cell on the level-compressed
 // weighted_kd_level_process — the weighted process is exchangeable too,
 // so its weight-load multiset is lossless state) and the monitored metric
@@ -68,9 +69,15 @@ int main(int argc, char** argv) {
 
     kdc::core::scenario base;
     base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.probe = kdc::core::probe_policy::weighted;
+    base.family = "weighted";
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
+    if (merged.family != "weighted") {
+        throw kdc::cli_error("weighted_gap runs the 'weighted' family only; "
+                             "--scenario named family '" +
+                             merged.family +
+                             "' (write weighted:... or omit the prefix)");
+    }
     const auto n = merged.n;
     const auto kernel = kdc::core::resolve_kernel(merged);
     const auto metric = merged.metric;

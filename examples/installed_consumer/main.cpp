@@ -9,7 +9,7 @@
 
 int main() {
     // The scenario API through the installed tree: parse, construct via
-    // the policy registry, run on the auto-resolved kernel.
+    // the policy table, run on the auto-resolved kernel.
     const auto sc =
         kdc::core::parse_scenario("kd:n=256,k=2,d=4,kernel=auto");
     auto process = kdc::core::make_process(sc, /*seed=*/7);

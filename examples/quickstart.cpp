@@ -23,7 +23,7 @@ int main() {
         "kd:n=65536,k=8,d=16,kernel=auto");
     const auto n = sc.n;
 
-    // 2. make_process dispatches through the policy registry to the right
+    // 2. make_process dispatches through the policy table to the right
     //    process and kernel; run and observe through one uniform handle.
     auto process = kdc::core::make_process(sc, seed);
     process.run_balls(kdc::core::resolved_balls(sc));
@@ -63,7 +63,7 @@ int main() {
         kdc::core::parse_scenario("single:n=65536"),
         {.balls = n, .reps = 10, .seed = seed + 1});
     const auto two_choice = kdc::core::run_scenario_experiment(
-        kdc::core::parse_scenario("dchoice:n=65536,k=1,d=2"),
+        kdc::core::parse_scenario("dchoice:n=65536,d=2"),
         {.balls = n, .reps = 10, .seed = seed + 2});
     std::cout << "baselines: single-choice max loads {"
               << single.max_load_set() << "}, two-choice {"

@@ -20,7 +20,7 @@
 #include "core/process.hpp"     // kd_choice_process + classic baselines
 #include "core/round_kernel.hpp" // one-round primitive (advanced use)
 #include "core/runner.hpp"      // multi-repetition experiments
-#include "core/scenario.hpp"    // declarative scenarios: registry + factory
+#include "core/scenario.hpp"    // scenarios: policy table + factory
 #include "core/serialized.hpp"  // Definition 1 serialization
 #include "core/sharded_kernel.hpp" // sharded round-parallel kernels
 #include "core/snapshot_stage.hpp" // --snapshot-out/--resume bench staging

@@ -6,6 +6,7 @@
 #include <limits>
 #include <new>
 #include <set>
+#include <string_view>
 #include <sstream>
 #include <utility>
 
@@ -23,19 +24,8 @@ namespace {
 
 /// The full key set of the grammar, for the unknown-key diagnostic.
 constexpr const char* scenario_keys =
-    "balls, beta, cap, d, k, kernel, metric, n, par, probe, replacement, "
-    "selpar, shards, skew, threshold, warmup";
-
-std::string join(const std::vector<std::string>& names) {
-    std::string out;
-    for (const auto& name : names) {
-        if (!out.empty()) {
-            out += ", ";
-        }
-        out += name;
-    }
-    return out;
-}
+    "balls, beta, cap, d, k, kernel, metric, n, par, replacement, selpar, "
+    "shards, skew, threshold, warmup";
 
 /// Parses a count that may be written in scientific notation ("1e9").
 std::uint64_t parse_count(const std::string& key, const std::string& text) {
@@ -97,24 +87,6 @@ double parse_double(const std::string& key, const std::string& text) {
     return value;
 }
 
-probe_policy parse_probe(const std::string& text) {
-    if (text == "uniform") {
-        return probe_policy::uniform;
-    }
-    if (text == "weighted") {
-        return probe_policy::weighted;
-    }
-    if (text == "one_plus_beta") {
-        return probe_policy::one_plus_beta;
-    }
-    if (text == "threshold") {
-        return probe_policy::threshold;
-    }
-    throw cli_error("scenario key 'probe' must be one of 'uniform', "
-                    "'weighted', 'one_plus_beta' or 'threshold', got '" +
-                    text + "'");
-}
-
 kernel_choice parse_kernel(const std::string& text) {
     if (text == "perbin") {
         return kernel_choice::per_bin;
@@ -130,31 +102,17 @@ kernel_choice parse_kernel(const std::string& text) {
                     text + "'");
 }
 
-/// shards = auto | positive count; "auto" is carried as 0 (the
-/// resolve_shard_count sentinel).
-std::uint64_t parse_shards(const std::string& text) {
+/// shards/selpar = auto | positive count; "auto" is carried as 0 (the
+/// resolve_shard_count / resolve_selection_segments sentinel).
+std::uint64_t parse_auto_count(const std::string& key,
+                               const std::string& text) {
     if (text == "auto") {
         return 0;
     }
-    const std::uint64_t value = parse_count("shards", text);
+    const std::uint64_t value = parse_count(key, text);
     if (value == 0) {
-        throw cli_error("scenario key 'shards' must be 'auto' or a positive "
-                        "count, got '" +
-                        text + "'");
-    }
-    return value;
-}
-
-/// selpar = auto | positive count; "auto" is carried as 0 (the
-/// resolve_selection_segments sentinel).
-std::uint64_t parse_selpar(const std::string& text) {
-    if (text == "auto") {
-        return 0;
-    }
-    const std::uint64_t value = parse_count("selpar", text);
-    if (value == 0) {
-        throw cli_error("scenario key 'selpar' must be 'auto' or a positive "
-                        "count, got '" +
+        throw cli_error("scenario key '" + key +
+                        "' must be 'auto' or a positive count, got '" +
                         text + "'");
     }
     return value;
@@ -182,21 +140,188 @@ weight_distribution skew_weights(double skew) {
     return pareto_weights(1.0 + 1.0 / skew, 1.0);
 }
 
-} // namespace
+// ---------------------------------------------------------------------------
+// The policy table
+// ---------------------------------------------------------------------------
 
-const char* probe_policy_name(probe_policy probe) noexcept {
-    switch (probe) {
-    case probe_policy::weighted:
-        return "weighted";
-    case probe_policy::one_plus_beta:
-        return "one_plus_beta";
-    case probe_policy::threshold:
-        return "threshold";
-    case probe_policy::uniform:
-        break;
+/// The family-specific keys a family can read (bit flags); every family
+/// also reads the keys marked 0 in grammar_keys below.
+enum family_key : unsigned {
+    reads_k = 1u << 0,
+    reads_d = 1u << 1,
+    reads_skew = 1u << 2,
+    reads_beta = 1u << 3,
+    reads_threshold = 1u << 4,
+    reads_cap = 1u << 5,
+};
+
+/// One family: what it is called, what it supports, which family-specific
+/// keys it reads, and how to build a repetition's process for it. `make`
+/// gets an already-resolved kernel that is valid for the family.
+struct family_info {
+    std::string_view name;
+    bool supports_level;       ///< has a level-compressed kernel
+    bool supports_replacement; ///< honors replacement=without
+    unsigned keys;             ///< family_key bits
+    any_process (*make)(const scenario& sc, kernel_kind kernel,
+                        std::uint64_t seed);
+};
+
+any_process make_single(const scenario& sc, kernel_kind kernel,
+                        std::uint64_t seed) {
+    if (kernel == kernel_kind::level) {
+        return any_process(single_choice_level_process(sc.n, seed));
     }
-    return "uniform";
+    return any_process(single_choice_process(sc.n, seed));
 }
+
+any_process make_kd(const scenario& sc, kernel_kind kernel,
+                    std::uint64_t seed) {
+    if (sc.d == 1) {
+        // The Table-1 (1,1) cell: single choice by construction.
+        return make_single(sc, kernel, seed);
+    }
+    if (sc.par == par_mode::round) {
+        // The sharded round-parallel kernel: byte-identical to
+        // kd_choice_process below (validate_scenario already pinned
+        // replacement=with and d >= 2, resolve_kernel pinned perbin).
+        return any_process(
+            sharded_kd_process(sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
+    }
+    if (kernel == kernel_kind::level) {
+        return any_process(kd_choice_level_process(sc.n, sc.k, sc.d, seed));
+    }
+    kd_choice_process process(sc.n, sc.k, sc.d, seed);
+    process.set_probe_mode(sc.replacement);
+    return any_process(std::move(process));
+}
+
+any_process make_dchoice(const scenario& sc, kernel_kind kernel,
+                         std::uint64_t seed) {
+    if (kernel == kernel_kind::level) {
+        return any_process(d_choice_level_process(sc.n, sc.d, seed));
+    }
+    return any_process(d_choice_process(sc.n, sc.d, seed));
+}
+
+any_process make_greedy(const scenario& sc, kernel_kind,
+                        std::uint64_t seed) {
+    return any_process(batched_greedy_process(sc.n, sc.k, sc.d, seed));
+}
+
+any_process make_weighted(const scenario& sc, kernel_kind kernel,
+                          std::uint64_t seed) {
+    if (kernel == kernel_kind::level) {
+        return any_process(weighted_kd_level_process(sc.n, sc.k, sc.d, seed,
+                                                     skew_weights(sc.skew)));
+    }
+    return any_process(
+        weighted_kd_process(sc.n, sc.k, sc.d, seed, skew_weights(sc.skew)));
+}
+
+any_process make_one_plus_beta(const scenario& sc, kernel_kind kernel,
+                               std::uint64_t seed) {
+    if (kernel == kernel_kind::level) {
+        return any_process(one_plus_beta_level_process(sc.n, sc.beta, seed));
+    }
+    return any_process(one_plus_beta_process(sc.n, sc.beta, seed));
+}
+
+any_process make_threshold(const scenario& sc, kernel_kind,
+                           std::uint64_t seed) {
+    return any_process(adaptive_threshold_process(
+        sc.n, sc.threshold, static_cast<std::uint32_t>(sc.cap), seed));
+}
+
+/// THE policy table, sorted by name (error messages list it in order):
+/// - kd: the paper's (k,d)-choice; d=1 degenerates to single-choice;
+/// - single: classical single-choice (one uniform probe per ball);
+/// - dchoice: classical d-choice of Azar et al. (least loaded of d);
+/// - greedy: the Section 7 modified policy (no multiplicity cap on
+///   less-loaded distinct bins);
+/// - weighted: (k,d)-choice with Pareto ball weights of tail `skew`;
+/// - one_plus_beta: the (1+beta)-choice of Peres-Talwar-Wieder;
+/// - threshold: adaptive threshold probing (Czumaj-Stemann flavor).
+/// The families that read k are exactly the ones placing whole rounds of
+/// k balls (resolved_balls, the balls-multiple check).
+constexpr family_info families[] = {
+    {"dchoice", true, false, reads_d, make_dchoice},
+    {"greedy", false, false, reads_k | reads_d, make_greedy},
+    {"kd", true, true, reads_k | reads_d, make_kd},
+    {"one_plus_beta", true, false, reads_beta, make_one_plus_beta},
+    {"single", true, false, 0, make_single},
+    {"threshold", false, false, reads_threshold | reads_cap,
+     make_threshold},
+    {"weighted", true, false, reads_k | reads_d | reads_skew, make_weighted},
+};
+
+/// nullptr when no family has that name.
+const family_info* find_family(std::string_view name) noexcept {
+    for (const family_info& family : families) {
+        if (family.name == name) {
+            return &family;
+        }
+    }
+    return nullptr;
+}
+
+/// Appends `name` to the comma-separated list `out`.
+void append_listed(std::string& out, std::string_view name) {
+    if (!out.empty()) {
+        out += ", ";
+    }
+    out += name;
+}
+
+/// The family names, comma-separated; `level_only` keeps the families with
+/// a level kernel.
+std::string family_names(bool level_only) {
+    std::string out;
+    for (const family_info& family : families) {
+        if (!level_only || family.supports_level) {
+            append_listed(out, family.name);
+        }
+    }
+    return out;
+}
+
+/// The scenario's table row; throws cli_error naming the families.
+const family_info& family_of(const scenario& sc) {
+    const family_info* family = find_family(sc.family);
+    if (family == nullptr) {
+        throw cli_error("unknown scenario family '" + sc.family +
+                        "'; valid families: " + family_names(false));
+    }
+    return *family;
+}
+
+/// Every grammar key in canonical (echo) order with the family_key bit
+/// that makes it live; 0 = every family reads it (shards and selpar only
+/// under par=round — scenario_reads_key).
+struct key_info {
+    std::string_view name;
+    unsigned family_bit;
+};
+constexpr key_info grammar_keys[] = {
+    {"n", 0}, {"k", reads_k}, {"d", reads_d}, {"balls", 0},
+    {"skew", reads_skew}, {"beta", reads_beta},
+    {"threshold", reads_threshold}, {"cap", reads_cap},
+    {"replacement", 0}, {"kernel", 0}, {"par", 0}, {"shards", 0},
+    {"selpar", 0}, {"metric", 0}, {"warmup", 0},
+};
+
+/// The keys the scenario reads, comma-separated in canonical order.
+std::string live_keys(const scenario& sc) {
+    std::string out;
+    for (const key_info& key : grammar_keys) {
+        if (scenario_reads_key(sc, key.name)) {
+            append_listed(out, key.name);
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 const char* warmup_mode_name(warmup_mode warmup) noexcept {
     return warmup == warmup_mode::fast_forward ? "ff" : "full";
@@ -234,21 +359,16 @@ scenario parse_scenario(std::string_view text, scenario base) {
     scenario sc = std::move(base);
     std::string_view rest = text;
 
-    // Optional family prefix before the first ':'; the family must be a
-    // registered policy name. A ':' inside the key=value list (i.e. after
-    // an '=' or ',') is not a family separator.
+    // Optional family prefix before the first ':'; the family must name a
+    // policy table row. A ':' inside the key=value list (i.e. after an '='
+    // or ',') is not a family separator.
     const auto colon = rest.find(':');
     if (colon != std::string_view::npos &&
         colon < rest.find('=') && colon < rest.find(',')) {
-        const std::string family(rest.substr(0, colon));
-        if (policy_registry::instance().find(family) == nullptr) {
-            throw cli_error(
-                "unknown scenario family '" + family + "'; registered: " +
-                join(policy_registry::instance().names()));
-        }
-        sc.family = family;
+        sc.family = std::string(rest.substr(0, colon));
         rest.remove_prefix(colon + 1);
     }
+    (void)family_of(sc);
 
     std::set<std::string> seen;
     while (!rest.empty()) {
@@ -278,8 +398,6 @@ scenario parse_scenario(std::string_view text, scenario base) {
             sc.d = parse_count(key, value);
         } else if (key == "balls") {
             sc.balls = parse_count(key, value);
-        } else if (key == "probe") {
-            sc.probe = parse_probe(value);
         } else if (key == "skew") {
             sc.skew = parse_double(key, value);
         } else if (key == "beta") {
@@ -295,9 +413,9 @@ scenario parse_scenario(std::string_view text, scenario base) {
         } else if (key == "par") {
             sc.par = par_mode_from_name(value);
         } else if (key == "shards") {
-            sc.shards = parse_shards(value);
+            sc.shards = parse_auto_count(key, value);
         } else if (key == "selpar") {
-            sc.selpar = parse_selpar(value);
+            sc.selpar = parse_auto_count(key, value);
         } else if (key == "metric") {
             sc.metric = metric_from_name(value);
         } else if (key == "warmup") {
@@ -307,68 +425,97 @@ scenario parse_scenario(std::string_view text, scenario base) {
                             "'; valid keys: " + scenario_keys);
         }
     }
+    // Liveness depends on the merged family and par, so check only once
+    // every pair is in.
+    for (const std::string& key : seen) {
+        if (!scenario_reads_key(sc, key)) {
+            const bool round_only = key == "shards" || key == "selpar";
+            throw cli_error("scenario key '" + key +
+                            "' is not read by family '" + sc.family + "'" +
+                            (round_only ? " under par=rep" : "") +
+                            "; it reads: " + live_keys(sc));
+        }
+    }
     validate_scenario(sc);
     return sc;
 }
 
+bool scenario_reads_key(const scenario& sc, std::string_view key) noexcept {
+    if (key == "shards" || key == "selpar") {
+        return sc.par == par_mode::round;
+    }
+    for (const key_info& known : grammar_keys) {
+        if (known.name == key) {
+            const family_info* family = find_family(sc.family);
+            return known.family_bit == 0 ||
+                   (family != nullptr &&
+                    (family->keys & known.family_bit) != 0);
+        }
+    }
+    return false;
+}
+
 std::string to_string(const scenario& sc) {
-    // Every key is spelled out so parse_scenario(to_string(sc)) == sc
-    // regardless of which fields the resolved policy actually reads;
-    // max_digits10 keeps the double-valued knobs lossless too.
+    // Only the keys the family reads: an unread field never reaches the
+    // echo, so parse_scenario (which refuses unread keys) accepts it back.
+    // max_digits10 keeps the double-valued knobs lossless.
+    const auto reads = [&sc](std::string_view key) {
+        return scenario_reads_key(sc, key);
+    };
     std::ostringstream out;
     out.precision(std::numeric_limits<double>::max_digits10);
-    out << sc.family << ":n=" << sc.n << ",k=" << sc.k << ",d=" << sc.d;
+    out << sc.family << ":n=" << sc.n;
+    if (reads("k")) {
+        out << ",k=" << sc.k;
+    }
+    if (reads("d")) {
+        out << ",d=" << sc.d;
+    }
     if (sc.balls != 0) {
         out << ",balls=" << sc.balls;
     }
-    out << ",probe=" << probe_policy_name(sc.probe) << ",skew=" << sc.skew
-        << ",beta=" << sc.beta << ",threshold=" << sc.threshold
-        << ",cap=" << sc.cap << ",replacement="
+    if (reads("skew")) {
+        out << ",skew=" << sc.skew;
+    }
+    if (reads("beta")) {
+        out << ",beta=" << sc.beta;
+    }
+    if (reads("threshold")) {
+        out << ",threshold=" << sc.threshold;
+    }
+    if (reads("cap")) {
+        out << ",cap=" << sc.cap;
+    }
+    out << ",replacement="
         << (sc.replacement == probe_mode::with_replacement ? "with"
                                                            : "without")
         << ",kernel=" << kernel_choice_name(sc.kernel)
-        << ",par=" << par_mode_name(sc.par) << ",shards=";
-    if (sc.shards == 0) {
-        out << "auto";
-    } else {
-        out << sc.shards;
-    }
-    out << ",selpar=";
-    if (sc.selpar == 0) {
-        out << "auto";
-    } else {
-        out << sc.selpar;
+        << ",par=" << par_mode_name(sc.par);
+    const auto auto_count = [](std::uint64_t value) {
+        return value == 0 ? std::string("auto") : std::to_string(value);
+    };
+    if (reads("shards")) { // and selpar: both live under par=round only
+        out << ",shards=" << auto_count(sc.shards)
+            << ",selpar=" << auto_count(sc.selpar);
     }
     out << ",metric=" << metric_name(sc.metric)
         << ",warmup=" << warmup_mode_name(sc.warmup);
     return out.str();
 }
 
-std::string resolved_policy(const scenario& sc) {
-    if (sc.probe != probe_policy::uniform) {
-        if (sc.family != "kd") {
-            throw cli_error(
-                "scenario key 'probe' modifies the 'kd' family only; "
-                "family '" +
-                sc.family + "' already fixes the policy");
-        }
-        return probe_policy_name(sc.probe);
-    }
-    return sc.family;
-}
-
 void validate_scenario(const scenario& sc) {
-    const std::string policy = resolved_policy(sc);
-    const auto& info = policy_registry::instance().at(policy);
+    const family_info& family = family_of(sc);
+    const std::string_view policy = family.name;
+    const bool rounds = (family.keys & reads_k) != 0;
     if (sc.n < 1) {
         throw cli_error("scenario needs n >= 1 bins");
     }
-    if (policy == "kd" || policy == "greedy" || policy == "weighted") {
+    if (rounds) {
         // k = d = 1 is the single-choice degeneration the Table-1 grid
         // uses for its (1,1) cell; anything else needs 1 <= k < d <= n.
         const bool single = policy == "kd" && sc.k == 1 && sc.d == 1;
         if (!single && !(sc.k >= 1 && sc.k < sc.d && sc.d <= sc.n)) {
-            throw cli_error("policy '" + policy +
+            throw cli_error("policy '" + sc.family +
                             "' requires 1 <= k < d <= n (or k = d = 1 for "
                             "the single-choice degeneration of 'kd'), got "
                             "k=" +
@@ -376,9 +523,10 @@ void validate_scenario(const scenario& sc) {
                             std::to_string(sc.d) + ", n=" +
                             std::to_string(sc.n));
         }
-    } else if (policy == "dchoice") {
+    } else if ((family.keys & reads_d) != 0) {
         if (!(sc.d >= 1 && sc.d <= sc.n)) {
-            throw cli_error("policy 'dchoice' requires 1 <= d <= n, got d=" +
+            throw cli_error("policy '" + sc.family +
+                            "' requires 1 <= d <= n, got d=" +
                             std::to_string(sc.d) + ", n=" +
                             std::to_string(sc.n));
         }
@@ -386,12 +534,10 @@ void validate_scenario(const scenario& sc) {
     // The round-based policies place whole rounds of k balls; an explicit
     // balls count that is not a multiple of k must fail here as a
     // cli_error, not later as a contract violation on a worker thread.
-    if (sc.balls != 0 && sc.balls % sc.k != 0 &&
-        ((policy == "kd" && sc.d > 1) || policy == "greedy" ||
-         policy == "weighted")) {
+    if (rounds && sc.balls % sc.k != 0) {
         throw cli_error("scenario key 'balls' must be a whole number of "
                         "rounds (a multiple of k=" +
-                        std::to_string(sc.k) + ") for policy '" + policy +
+                        std::to_string(sc.k) + ") for policy '" + sc.family +
                         "', got " + std::to_string(sc.balls));
     }
     if (policy == "weighted" && sc.skew < 0.0) {
@@ -409,8 +555,8 @@ void validate_scenario(const scenario& sc) {
                         "probes at least once)");
     }
     if (sc.replacement == probe_mode::without_replacement &&
-        !info.supports_replacement) {
-        throw cli_error("policy '" + policy +
+        !family.supports_replacement) {
+        throw cli_error("policy '" + sc.family +
                         "' only supports replacement=with (the "
                         "without-replacement ablation exists for 'kd' on "
                         "the perbin kernel)");
@@ -423,7 +569,7 @@ void validate_scenario(const scenario& sc) {
         if (policy != "kd") {
             throw cli_error("par=round (the sharded round-parallel kernel) "
                             "supports the 'kd' family only, got policy '" +
-                            policy + "'");
+                            sc.family + "'");
         }
         if (sc.d < 2) {
             throw cli_error("par=round requires d >= 2 (the d=1 "
@@ -434,11 +580,24 @@ void validate_scenario(const scenario& sc) {
             throw cli_error("par=round replays the with-replacement probe "
                             "tape; use replacement=with or par=rep");
         }
+        if (sc.d > (std::uint64_t{1} << 31)) {
+            throw cli_error("par=round packs probe slots into 32 bits and "
+                            "needs d <= 2^31, got d=" +
+                            std::to_string(sc.d));
+        }
     }
-    // kernel=level incompatibilities are resolve_kernel's job; validating
-    // here too keeps parse_scenario errors early and complete.
-    if (sc.kernel == kernel_choice::level) {
-        (void)resolve_kernel(sc);
+    // kernel=level incompatibilities are resolve_kernel's job; resolving
+    // here keeps parse_scenario errors early and complete. The per-bin
+    // kernels store bin ids as 32-bit values with one reserved, so a
+    // larger n would silently fold bins together.
+    if (resolve_kernel(sc) == kernel_kind::per_bin &&
+        sc.n >= 0xFFFFFFFFull) {
+        throw cli_error("the per-bin kernels index bins with 32-bit ids and "
+                        "need n < 2^32 - 1, got n=" +
+                        std::to_string(sc.n) +
+                        "; larger n runs on the level kernel (par=rep, "
+                        "replacement=with; families: " +
+                        family_names(true) + ")");
     }
     // warmup=ff support (level kernel, known steady-state shape) is
     // plan_fast_forward's job — its cli_errors surface at parse time too.
@@ -448,17 +607,16 @@ void validate_scenario(const scenario& sc) {
 }
 
 kernel_kind resolve_kernel(const scenario& sc) {
-    const std::string policy = resolved_policy(sc);
-    const auto& info = policy_registry::instance().at(policy);
+    const family_info& family = family_of(sc);
     switch (sc.kernel) {
     case kernel_choice::per_bin:
         return kernel_kind::per_bin;
     case kernel_choice::level:
-        if (!info.supports_level) {
+        if (!family.supports_level) {
             throw cli_error(
-                "policy '" + policy +
+                "policy '" + sc.family +
                 "' has no level-compressed kernel; kernel=level supports: " +
-                join(policy_registry::instance().level_capable_names()));
+                family_names(true));
         }
         if (sc.replacement == probe_mode::without_replacement) {
             throw cli_error("kernel=level simulates the paper's "
@@ -479,7 +637,7 @@ kernel_kind resolve_kernel(const scenario& sc) {
         break;
     }
     // par=round always means the per-bin sharded kernel.
-    return info.supports_level &&
+    return family.supports_level &&
                    sc.replacement == probe_mode::with_replacement &&
                    sc.par == par_mode::rep
                ? kernel_kind::level
@@ -490,12 +648,10 @@ std::uint64_t resolved_balls(const scenario& sc) {
     if (sc.balls != 0) {
         return sc.balls;
     }
-    const std::string policy = resolved_policy(sc);
-    if ((policy == "kd" && sc.d > 1) || policy == "greedy" ||
-        policy == "weighted") {
+    if ((family_of(sc).keys & reads_k) != 0) {
         return whole_rounds_balls(sc.n, sc.k);
     }
-    return sc.n; // per-ball policies (and the single-choice degeneration)
+    return sc.n; // per-ball policies
 }
 
 repetition_result to_repetition_result(const process_observation& obs) {
@@ -505,152 +661,6 @@ repetition_result to_repetition_result(const process_observation& obs) {
     r.messages = obs.messages;
     r.empty_bins = obs.empty_bins;
     return r;
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-policy_registry& policy_registry::instance() {
-    static policy_registry registry;
-    return registry;
-}
-
-void policy_registry::register_policy(policy_info info) {
-    KD_EXPECTS_MSG(!info.name.empty(), "a policy needs a name");
-    KD_EXPECTS_MSG(static_cast<bool>(info.make),
-                   "a policy needs a make function");
-    entries_[info.name] = std::move(info);
-}
-
-const policy_info* policy_registry::find(std::string_view name) const {
-    const auto it = entries_.find(name);
-    return it != entries_.end() ? &it->second : nullptr;
-}
-
-const policy_info& policy_registry::at(std::string_view name) const {
-    const policy_info* info = find(name);
-    if (info == nullptr) {
-        throw cli_error("unknown policy '" + std::string(name) +
-                        "'; registered: " + join(names()));
-    }
-    return *info;
-}
-
-std::vector<std::string> policy_registry::names() const {
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, info] : entries_) {
-        out.push_back(name);
-    }
-    return out; // std::map iterates sorted
-}
-
-std::vector<std::string> policy_registry::level_capable_names() const {
-    std::vector<std::string> out;
-    for (const auto& [name, info] : entries_) {
-        if (info.supports_level) {
-            out.push_back(name);
-        }
-    }
-    return out;
-}
-
-policy_registry::policy_registry() {
-    register_policy(
-        {"kd",
-         "the paper's (k,d)-choice; d=1 degenerates to single-choice",
-         /*supports_level=*/true, /*supports_replacement=*/true,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (sc.d == 1) {
-                 // The Table-1 (1,1) cell: single choice by construction.
-                 if (kernel == kernel_kind::level) {
-                     return any_process(
-                         single_choice_level_process(sc.n, seed));
-                 }
-                 return any_process(single_choice_process(sc.n, seed));
-             }
-             if (sc.par == par_mode::round) {
-                 // The sharded round-parallel kernel: byte-identical to
-                 // kd_choice_process below (validate_scenario already
-                 // pinned replacement=with and d >= 2, resolve_kernel
-                 // pinned perbin).
-                 return any_process(sharded_kd_process(
-                     sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
-             }
-             if (kernel == kernel_kind::level) {
-                 return any_process(
-                     kd_choice_level_process(sc.n, sc.k, sc.d, seed));
-             }
-             kd_choice_process process(sc.n, sc.k, sc.d, seed);
-             process.set_probe_mode(sc.replacement);
-             return any_process(std::move(process));
-         }});
-    register_policy(
-        {"single", "classical single-choice (one uniform probe per ball)",
-         /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
-                 return any_process(single_choice_level_process(sc.n, seed));
-             }
-             return any_process(single_choice_process(sc.n, seed));
-         }});
-    register_policy(
-        {"dchoice",
-         "classical d-choice of Azar et al. (least loaded of d probes)",
-         /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
-                 return any_process(
-                     d_choice_level_process(sc.n, sc.d, seed));
-             }
-             return any_process(d_choice_process(sc.n, sc.d, seed));
-         }});
-    register_policy(
-        {"greedy",
-         "the Section 7 modified policy (no multiplicity cap on "
-         "less-loaded distinct bins)",
-         /*supports_level=*/false, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind, std::uint64_t seed) {
-             return any_process(
-                 batched_greedy_process(sc.n, sc.k, sc.d, seed));
-         }});
-    register_policy(
-        {"weighted",
-         "weighted (k,d)-choice: Pareto ball weights with tail skew "
-         "(skew=0 = unit weights)",
-         /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
-                 return any_process(weighted_kd_level_process(
-                     sc.n, sc.k, sc.d, seed, skew_weights(sc.skew)));
-             }
-             return any_process(weighted_kd_process(
-                 sc.n, sc.k, sc.d, seed, skew_weights(sc.skew)));
-         }});
-    register_policy(
-        {"one_plus_beta",
-         "the (1+beta)-choice of Peres-Talwar-Wieder (two-choice with "
-         "probability beta)",
-         /*supports_level=*/true, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind kernel, std::uint64_t seed) {
-             if (kernel == kernel_kind::level) {
-                 return any_process(
-                     one_plus_beta_level_process(sc.n, sc.beta, seed));
-             }
-             return any_process(
-                 one_plus_beta_process(sc.n, sc.beta, seed));
-         }});
-    register_policy(
-        {"threshold",
-         "adaptive threshold probing (Czumaj-Stemann flavor): probe until "
-         "load < threshold, up to cap probes",
-         /*supports_level=*/false, /*supports_replacement=*/false,
-         [](const scenario& sc, kernel_kind, std::uint64_t seed) {
-             return any_process(adaptive_threshold_process(
-                 sc.n, sc.threshold, static_cast<std::uint32_t>(sc.cap),
-                 seed));
-         }});
 }
 
 // ---------------------------------------------------------------------------
@@ -667,18 +677,18 @@ any_process make_process(const scenario& sc, std::uint64_t seed) {
             fast_forwarded_process(sc, plan_fast_forward(sc), seed));
     }
     const kernel_kind kernel = resolve_kernel(sc);
-    const auto& info = policy_registry::instance().at(resolved_policy(sc));
+    const family_info& family = family_of(sc);
     if (kernel == kernel_kind::per_bin) {
         try {
             fault_point(fault_site::perbin_alloc);
-            return info.make(sc, kernel, seed);
+            return family.make(sc, kernel, seed);
         } catch (const std::bad_alloc&) {
             // Graceful degradation: the per-bin kernel's O(n) state is the
             // only allocation that scales with n, and the level kernel
             // simulates the SAME distribution whenever the policy has one
             // and probes are with replacement. Fall back instead of dying;
             // anything else (or a second failure) propagates.
-            if (!info.supports_level ||
+            if (!family.supports_level ||
                 sc.replacement != probe_mode::with_replacement) {
                 throw;
             }
@@ -686,10 +696,10 @@ any_process make_process(const scenario& sc, std::uint64_t seed) {
                          "n=" << sc.n
                       << "; degrading to the level kernel (same "
                          "distribution, O(max load) state)\n";
-            return info.make(sc, kernel_kind::level, seed);
+            return family.make(sc, kernel_kind::level, seed);
         }
     }
-    return info.make(sc, kernel, seed);
+    return family.make(sc, kernel, seed);
 }
 
 repetition_result run_scenario_repetition(const scenario& sc,
@@ -758,9 +768,6 @@ sweep_cell make_scenario_cell(std::string name, const scenario& sc,
     cell.config = config;
     cell.metric = sc.metric;
     if (sc.warmup == warmup_mode::fast_forward) {
-        // Resolve the fast-forward plan here for the same reason the
-        // registry factory is copied below: repetition jobs on worker
-        // threads must never consult the (unsynchronized) registry.
         const ff_plan plan = plan_fast_forward(sc);
         cell.run_rep = [sc, plan,
                         balls = config.balls](std::uint64_t derived_seed) {
@@ -771,13 +778,10 @@ sweep_cell make_scenario_cell(std::string name, const scenario& sc,
         return cell;
     }
     const kernel_kind kernel = resolve_kernel(sc);
-    // Copy the factory out of the registry here: repetition jobs on worker
-    // threads never touch the (unsynchronized) registry.
-    auto make = policy_registry::instance().at(resolved_policy(sc)).make;
     // Repetition jobs already saturate the pool, so a par=round cell runs
     // its sharded phases inline on the owning worker — the output is
     // byte-identical either way (that is the sharded kernel's contract).
-    cell.run_rep = [sc, kernel, make = std::move(make),
+    cell.run_rep = [sc, kernel, make = family_of(sc).make,
                     balls = config.balls](std::uint64_t derived_seed) {
         auto process = make(sc, kernel, derived_seed);
         process.run_balls(balls);

@@ -1,45 +1,48 @@
 // The declarative scenario API: every allocation experiment this library
 // can run, as ONE value.
 //
-// The paper's (k,d)-choice process is one point in a family — uniform or
-// weighted probes, the (1+beta) mixture, classic d-choice, adaptive
-// thresholds — and those variants compose from a few orthogonal knobs
-// rather than from distinct code paths. A `scenario` names the knobs:
+// The paper's (k,d)-choice process is one point in a family — single
+// choice, classic d-choice, the (1+beta) mixture, weighted balls,
+// adaptive thresholds — and each of those processes is a scenario FAMILY
+// of its own. A `scenario` names the family and its knobs:
 //
 //     scenario sc = parse_scenario("kd:n=1e6,k=2,d=4,kernel=auto");
 //     any_process p = make_process(sc, seed);
 //     p.run_balls(resolved_balls(sc));
 //     auto obs = p.observe();
 //
-// One string grammar (`family:key=value,key=value,...`), one string-keyed
-// POLICY REGISTRY behind construction, and one `make_process` factory that
-// dispatches to the right simulation kernel — including the
-// level-compressed weighted and (1+beta) kernels — with `kernel=auto`
-// picking the level kernel whenever the resolved policy supports it.
+// One string grammar (`family:key=value,key=value,...`), one fixed POLICY
+// TABLE (scenario.cpp) saying what each family builds and which keys it
+// reads, and one `make_process` factory that dispatches to the right
+// simulation kernel — including the level-compressed weighted and
+// (1+beta) kernels — with `kernel=auto` picking the level kernel whenever
+// the family supports it.
 //
 // Grammar
 // -------
 //   scenario  := [ family ":" ] [ pair ( "," pair )* ]
 //   pair      := key "=" value
-//   family    := a registered policy name (see below); default "kd"
-//   keys      := n, k, d, balls, probe, skew, beta, threshold, cap,
-//                replacement, kernel, metric, warmup
+//   family    := kd | single | dchoice | greedy | weighted |
+//                one_plus_beta | threshold; default "kd"
+//   keys      := n, k, d, balls, skew, beta, threshold, cap, replacement,
+//                kernel, par, shards, selpar, metric, warmup
 //
-//   probe       = uniform | weighted | one_plus_beta | threshold
-//                 (probe modifies the "kd" family; the probe policies are
-//                 also registered as families of their own, so
-//                 "weighted:n=1e5,k=2,d=4,skew=0.5" and
-//                 "kd:n=1e5,k=2,d=4,probe=weighted,skew=0.5" are the same
-//                 scenario)
-//   skew        = weighted probe: 0 = unit weights, s > 0 = Pareto ball
+//   Every family reads n, balls, replacement, kernel, par, metric and
+//   warmup; shards and selpar are read under par=round only; the rest
+//   belong to the families that read them (scenario_reads_key):
+//
+//   k, d        = kd, greedy, weighted: k of d probes per round (dchoice
+//                 reads d only)
+//   skew        = weighted: 0 = unit weights, s > 0 = Pareto ball
 //                 weights with shape 1 + 1/s and minimum 1 (larger s =
 //                 heavier tail)
-//   beta        = one_plus_beta probe: the two-choice mixing probability,
-//                 in [0, 1]
-//   threshold/cap = threshold probe: load threshold and probe budget
+//   beta        = one_plus_beta: the two-choice mixing probability, in
+//                 [0, 1]
+//   threshold/cap = threshold: load threshold and probe budget
 //   replacement = with | without  (the paper's model is `with`; `without`
 //                 is the per-bin-only ablation)
-//   kernel      = perbin | level | auto
+//   kernel      = perbin | level | auto  (perbin, and par=round, index
+//                 bins with 32-bit ids: n < 2^32 - 1)
 //   par         = rep | round  (rep = repetition-level parallelism, the
 //                 default; round = the sharded round-parallel kernel of
 //                 core/sharded_kernel.hpp inside each repetition —
@@ -59,27 +62,23 @@
 //                 ff = steady-state fast-forward, core/steady_state.hpp:
 //                 synthesize the heavy warmup's load profile and simulate
 //                 only a settle suffix — level kernel with
-//                 replacement=with, policies kd/single/dchoice/
+//                 replacement=with, families kd/single/dchoice/
 //                 one_plus_beta only)
 //
 // Counts (n, k, d, balls, threshold, cap) accept scientific notation
-// ("n=1e9"). Unknown keys, duplicate keys, malformed values and invalid
-// combinations (e.g. kernel=level for a policy without a level kernel) all
-// throw kdc::cli_error with a message naming the valid set.
+// ("n=1e9"). Unknown keys, keys the family does not read, duplicate keys,
+// malformed values and invalid combinations (e.g. kernel=level for a
+// family without a level kernel) all throw kdc::cli_error with a message
+// naming the valid set.
 //
-// Registered policies: "kd" (the paper's process; d=1 degenerates to
-// single-choice), "single", "dchoice", "greedy" (the Section 7 modified
-// policy), "weighted", "one_plus_beta", "threshold". New policies can be
-// added at startup via policy_registry::instance().register_policy —
-// registration is NOT thread-safe and must finish before sweeps start
-// (cells copy their factory out of the registry at construction, so
-// workers never touch it).
+// Families: "kd" (the paper's process; d=1 degenerates to single-choice),
+// "single", "dchoice", "greedy" (the Section 7 modified policy),
+// "weighted", "one_plus_beta", "threshold".
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -105,12 +104,6 @@ class thread_pool;
 /// it.
 template <typename P>
 concept pool_aware = requires(P p, thread_pool* pool) { p.use_pool(pool); };
-
-/// How a round's probes are used: the paper's uniform policy or one of the
-/// variant policies layered on the kd frame.
-enum class probe_policy { uniform, weighted, one_plus_beta, threshold };
-
-[[nodiscard]] const char* probe_policy_name(probe_policy probe) noexcept;
 
 /// Which kernel the scenario asks for; unlike kernel_kind this includes
 /// `auto` ("level whenever the policy supports it", resolve_kernel).
@@ -138,15 +131,14 @@ to_kernel_choice(kernel_kind kernel) noexcept {
                                         : kernel_choice::per_bin;
 }
 
-/// The declarative scenario value. Fields not meaningful for the resolved
-/// policy (e.g. beta under probe=uniform) are carried but ignored.
+/// The declarative scenario value. Fields the family does not read (e.g.
+/// beta under "kd") are carried but ignored.
 struct scenario {
     std::string family = "kd";
     std::uint64_t n = 1u << 16;
     std::uint64_t k = 1;
     std::uint64_t d = 2;
     std::uint64_t balls = 0; ///< 0 = the policy default (resolved_balls)
-    probe_policy probe = probe_policy::uniform;
     double skew = 0.0;            ///< weighted: 0 = unit, s>0 = Pareto tail
     double beta = 0.5;            ///< one_plus_beta mixing probability
     std::uint64_t threshold = 2;  ///< threshold policy: load threshold
@@ -168,27 +160,34 @@ struct scenario {
 
 /// Parses the grammar over `base`: keys present in `text` override the
 /// base field, everything else is inherited — the merge benches use to let
-/// `--scenario` override their legacy flags key by key.
+/// `--scenario` override their legacy flags key by key. A key in `text`
+/// that the merged scenario does not read is a cli_error.
 [[nodiscard]] scenario parse_scenario(std::string_view text, scenario base);
 
-/// Canonical string spelling of a scenario; parse_scenario round-trips it.
+/// Whether the scenario reads grammar key `key`: the keys every family
+/// reads, the family's own keys from the policy table, and shards/selpar
+/// under par=round. False for an unknown key or family. Allocation-free.
+[[nodiscard]] bool scenario_reads_key(const scenario& sc,
+                                      std::string_view key) noexcept;
+
+/// Canonical string spelling of a scenario: the family and every key it
+/// reads (scenario_reads_key), nothing else. parse_scenario round-trips it
+/// whenever the unread fields hold their defaults — always true of a
+/// scenario parsed over the default base.
 [[nodiscard]] std::string to_string(const scenario& sc);
 
-/// Validates the scenario against its resolved policy (parameter ranges,
-/// probe/family compatibility). Throws cli_error on violations.
+/// Validates the scenario against its family (parameter ranges, kernel
+/// and parallelism support, 32-bit per-bin bin ids). Throws cli_error on
+/// violations.
 void validate_scenario(const scenario& sc);
 
-/// The registry key the scenario resolves to: the probe policy's name when
-/// a non-uniform probe modifies the "kd" family, else the family itself.
-[[nodiscard]] std::string resolved_policy(const scenario& sc);
-
-/// Resolves kernel=auto (level whenever the policy supports it, the probes
+/// Resolves kernel=auto (level whenever the family supports it, the probes
 /// are with-replacement and par=rep; perbin otherwise) and rejects
-/// kernel=level for policies without a level kernel — the error names the
+/// kernel=level for families without a level kernel — the error names the
 /// level-capable set — and under par=round.
 [[nodiscard]] kernel_kind resolve_kernel(const scenario& sc);
 
-/// The scenario's ball count: `balls` when set, else the policy default
+/// The scenario's ball count: `balls` when set, else the family default
 /// (whole rounds of k for the batch policies, n for the per-ball ones).
 [[nodiscard]] std::uint64_t resolved_balls(const scenario& sc);
 
@@ -349,50 +348,9 @@ std::vector<double> any_process::model<P>::sorted_loads() const {
     }
 }
 
-/// One registry entry: what the policy is called, what it supports, and
-/// how to build a repetition's process for it.
-struct policy_info {
-    std::string name;
-    std::string summary;
-    bool supports_level = false;       ///< has a level-compressed kernel
-    bool supports_replacement = false; ///< honors replacement=without
-    /// Builds a fresh process. `kernel` is already resolved (never auto)
-    /// and valid for this policy; must be const-callable concurrently.
-    std::function<any_process(const scenario& sc, kernel_kind kernel,
-                              std::uint64_t seed)>
-        make;
-};
-
-/// The string-keyed policy registry behind make_process. The singleton is
-/// pre-populated with the built-in policies listed in the header comment.
-class policy_registry {
-public:
-    [[nodiscard]] static policy_registry& instance();
-
-    /// Adds (or replaces) a policy. Not thread-safe; call during startup,
-    /// before any sweep runs.
-    void register_policy(policy_info info);
-
-    /// nullptr when the name is unknown.
-    [[nodiscard]] const policy_info* find(std::string_view name) const;
-
-    /// Like find, but throws cli_error naming the registered set.
-    [[nodiscard]] const policy_info& at(std::string_view name) const;
-
-    /// All registered policy names, sorted.
-    [[nodiscard]] std::vector<std::string> names() const;
-
-    /// The names of policies with a level kernel, sorted (error messages
-    /// for kernel=level name this set).
-    [[nodiscard]] std::vector<std::string> level_capable_names() const;
-
-private:
-    policy_registry();
-    std::map<std::string, policy_info, std::less<>> entries_;
-};
-
 /// THE factory: validates the scenario, resolves the kernel, looks the
-/// policy up in the registry and builds the process for one repetition.
+/// family up in the policy table and builds the process for one
+/// repetition.
 [[nodiscard]] any_process make_process(const scenario& sc, std::uint64_t seed);
 
 /// One repetition of a scenario: build, run `balls` balls, observe. The
@@ -406,7 +364,7 @@ run_scenario_repetition(const scenario& sc, std::uint64_t derived_seed,
                         std::uint64_t balls, thread_pool* pool);
 
 /// Serial multi-repetition experiment over a scenario — the scenario-typed
-/// counterpart of run_experiment, bit-identical to it over the policy's
+/// counterpart of run_experiment, bit-identical to it over the family's
 /// process factory. config.balls = 0 means resolved_balls(sc).
 [[nodiscard]] experiment_result
 run_scenario_experiment(const scenario& sc, const experiment_config& config);
@@ -421,8 +379,6 @@ run_scenario_experiment(const scenario& sc, const experiment_config& config,
 
 /// A sweep cell whose repetitions run `sc` (core/sweep.hpp). The cell's
 /// monitored metric is sc.metric; config.balls = 0 means resolved_balls.
-/// The policy factory is copied out of the registry here, so the returned
-/// cell never touches the registry from worker threads.
 [[nodiscard]] sweep_cell make_scenario_cell(std::string name,
                                             const scenario& sc,
                                             experiment_config config);

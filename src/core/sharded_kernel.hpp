@@ -91,7 +91,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -216,31 +215,6 @@ private:
     std::uint64_t base_;
     std::uint64_t extra_;
     std::uint64_t mul_;
-};
-
-/// Read-only shard-partitioned view of a load vector: shard_span(s) is the
-/// contiguous slice of loads owned by shard s under a shard_layout. The
-/// view borrows both the vector and the layout — keep them alive.
-class sharded_loads {
-public:
-    sharded_loads(const load_vector& loads, const shard_layout& layout)
-        : loads_(&loads), layout_(&layout) {
-        KD_EXPECTS_MSG(loads.size() == layout.n(),
-                       "layout and load vector disagree on n");
-    }
-
-    [[nodiscard]] const shard_layout& layout() const noexcept {
-        return *layout_;
-    }
-    [[nodiscard]] std::span<const bin_load>
-    shard_span(std::uint64_t s) const {
-        return std::span<const bin_load>(*loads_).subspan(
-            layout_->begin(s), layout_->size(s));
-    }
-
-private:
-    const load_vector* loads_;
-    const shard_layout* layout_;
 };
 
 /// The (k,d)-choice process on per-bin state, executed by the sharded

@@ -256,9 +256,9 @@ bool run_snapshot_stage(const arg_parser& args, const scenario& sc,
                         "kernel=level or kernel=auto with a level-capable "
                         "policy)");
     }
-    if (resolved_policy(sc) != "kd" || sc.d < 2) {
+    if (sc.family != "kd" || sc.d < 2) {
         throw cli_error("snapshot staging supports the 'kd' family with "
-                        "d >= 2, got policy '" + resolved_policy(sc) + "'");
+                        "d >= 2, got policy '" + sc.family + "'");
     }
 
     std::optional<loaded_snapshot> resumed;

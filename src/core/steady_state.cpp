@@ -167,22 +167,21 @@ ff_plan plan_fast_forward(const scenario& sc) {
             "resolve to kernel=level (kernel=perbin keeps per-bin state "
             "the fast-forward cannot synthesize)");
     }
-    const std::string policy = resolved_policy(sc);
     ff_plan plan;
-    if (policy == "kd") {
+    if (sc.family == "kd") {
         plan.policy = sc.d == 1 ? ff_plan::policy_kind::single
                                 : ff_plan::policy_kind::kd;
-    } else if (policy == "single") {
+    } else if (sc.family == "single") {
         plan.policy = ff_plan::policy_kind::single;
-    } else if (policy == "dchoice") {
+    } else if (sc.family == "dchoice") {
         plan.policy = ff_plan::policy_kind::dchoice;
-    } else if (policy == "one_plus_beta") {
+    } else if (sc.family == "one_plus_beta") {
         plan.policy = ff_plan::policy_kind::one_plus_beta;
     } else {
         throw cli_error(
             "warmup=ff knows the steady-state shape of the 'kd', 'single', "
             "'dchoice' and 'one_plus_beta' policies only, got policy '" +
-            policy + "'");
+            sc.family + "'");
     }
     return plan;
 }

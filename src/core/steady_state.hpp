@@ -54,8 +54,8 @@ struct ff_split {
 
 /// The precomputed dispatch of a fast-forwarded scenario: which closed
 /// form / pilot process the profile synthesis uses and which level kernel
-/// settles. Built once by plan_fast_forward (which consults the policy
-/// registry) so repetition jobs on worker threads never touch the registry.
+/// settles. Built once by plan_fast_forward so repetition jobs only switch
+/// on an enum.
 struct ff_plan {
     enum class policy_kind { kd, single, dchoice, one_plus_beta };
     policy_kind policy = policy_kind::kd;

@@ -10,7 +10,7 @@
 //   std::cout << process.observe().max_load << '\n';
 //
 // The scenario API (core/scenario.hpp) is the recommended entry point —
-// one declarative value, one registry, one factory behind every kernel.
+// one declarative value, one policy table, one factory behind every kernel.
 // The concrete process/engine/stats layers it is built from are all
 // exported here too; see examples/quickstart.cpp for the walk-through.
 #pragma once

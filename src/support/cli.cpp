@@ -61,8 +61,8 @@ void arg_parser::add_adaptive_options() {
 void arg_parser::add_scenario_option() {
     add_option("scenario", "",
                "declarative scenario string, e.g. "
-               "'kd:n=1e6,k=2,d=4,probe=uniform,kernel=auto,"
-               "metric=max_load'; keys override the matching legacy flags "
+               "'kd:n=1e6,k=2,d=4,kernel=auto,metric=max_load'; "
+               "keys override the matching legacy flags "
                "(see core/scenario.hpp for the grammar)");
 }
 

@@ -75,14 +75,13 @@ TEST(ScenarioEquivalence, EveryBaselinePolicyMatchesItsLegacyProcess) {
         legacy_rep([&](std::uint64_t s) { return single_choice_process(n, s); },
                    seed, n)));
     EXPECT_TRUE(same_rep(
-        scenario_rep(parse_scenario("dchoice:n=2048,k=1,d=3,kernel=perbin"),
+        scenario_rep(parse_scenario("dchoice:n=2048,d=3,kernel=perbin"),
                      seed, n),
         legacy_rep([&](std::uint64_t s) { return d_choice_process(n, 3, s); },
                    seed, n)));
     EXPECT_TRUE(same_rep(
         scenario_rep(parse_scenario(
-                         "kd:n=2048,probe=one_plus_beta,beta=0.25,"
-                         "kernel=perbin"),
+                         "one_plus_beta:n=2048,beta=0.25,kernel=perbin"),
                      seed, n),
         legacy_rep(
             [&](std::uint64_t s) {
@@ -90,8 +89,7 @@ TEST(ScenarioEquivalence, EveryBaselinePolicyMatchesItsLegacyProcess) {
             },
             seed, n)));
     EXPECT_TRUE(same_rep(
-        scenario_rep(parse_scenario("kd:n=2048,probe=threshold,threshold=2,"
-                                    "cap=16"),
+        scenario_rep(parse_scenario("threshold:n=2048,threshold=2,cap=16"),
                      seed, n),
         legacy_rep(
             [&](std::uint64_t s) {
@@ -332,7 +330,7 @@ TEST(ScenarioEquivalence, SweepCellMetricFollowsTheScenario) {
 
 TEST(ScenarioEquivalence, ParRoundMatchesParRepByteForByte) {
     // par=round swaps the execution strategy, never the numbers: through
-    // the registry, a sharded repetition is byte-identical to the serial
+    // the policy table, a sharded repetition is byte-identical to the serial
     // per-bin one at every shard count, with or without a pool.
     const auto serial = parse_scenario("kd:n=10000,k=3,d=8,kernel=perbin");
     const auto base_rep = run_scenario_repetition(serial, 42, 10'000 * 3);

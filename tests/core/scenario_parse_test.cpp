@@ -1,9 +1,13 @@
-// The scenario grammar and registry: parsing, precise errors, kernel/auto
-// resolution, string round-trips and the CLI merge. The behavioural
-// (distribution/byte-equality) side lives in scenario_equivalence_test.cpp.
+// The scenario grammar and policy table: parsing, precise errors, key
+// liveness, kernel/auto resolution, string round-trips and the CLI merge.
+// The behavioural (distribution/byte-equality) side lives in
+// scenario_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "support/cli.hpp"
@@ -13,12 +17,11 @@ using kdc::core::kernel_choice;
 using kdc::core::kernel_kind;
 using kdc::core::metric_kind;
 using kdc::core::parse_scenario;
-using kdc::core::policy_registry;
 using kdc::core::probe_mode;
-using kdc::core::probe_policy;
 using kdc::core::resolve_kernel;
 using kdc::core::resolved_balls;
 using kdc::core::scenario;
+using kdc::core::scenario_reads_key;
 
 namespace {
 
@@ -40,16 +43,15 @@ TEST(ScenarioParse, DefaultsAndFullKeySet) {
     EXPECT_EQ(sc.n, 1024u);
     EXPECT_EQ(sc.k, 2u);
     EXPECT_EQ(sc.d, 4u);
-    EXPECT_EQ(sc.probe, probe_policy::uniform);
     EXPECT_EQ(sc.kernel, kernel_choice::auto_pick);
     EXPECT_EQ(sc.metric, metric_kind::max_load);
     EXPECT_EQ(sc.replacement, probe_mode::with_replacement);
 
     const auto full = parse_scenario(
-        "kd:n=4096,k=2,d=6,balls=1000,probe=one_plus_beta,beta=0.25,"
-        "replacement=with,kernel=perbin,metric=gap");
+        "one_plus_beta:n=4096,balls=1000,beta=0.25,replacement=with,"
+        "kernel=perbin,metric=gap");
     EXPECT_EQ(full.balls, 1000u);
-    EXPECT_EQ(full.probe, probe_policy::one_plus_beta);
+    EXPECT_EQ(full.family, "one_plus_beta");
     EXPECT_DOUBLE_EQ(full.beta, 0.25);
     EXPECT_EQ(full.kernel, kernel_choice::per_bin);
     EXPECT_EQ(full.metric, metric_kind::gap);
@@ -68,7 +70,7 @@ TEST(ScenarioParse, FamilyPrefixIsOptionalAndValidated) {
     const auto message = parse_error("bogus:n=512");
     EXPECT_NE(message.find("unknown scenario family 'bogus'"),
               std::string::npos);
-    // The error names the registered set.
+    // The error names the valid families.
     EXPECT_NE(message.find("kd"), std::string::npos);
     EXPECT_NE(message.find("weighted"), std::string::npos);
 }
@@ -90,14 +92,12 @@ TEST(ScenarioParse, MalformedPairsAreErrors) {
     EXPECT_THROW((void)parse_scenario("kd:n"), cli_error);
     EXPECT_THROW((void)parse_scenario("kd:=5"), cli_error);
     EXPECT_THROW((void)parse_scenario("kd:n=abc"), cli_error);
-    EXPECT_THROW((void)parse_scenario("kd:beta=1e999"), cli_error);
-    EXPECT_THROW((void)parse_scenario("kd:n=512,k=2,d=4,skew=inf,"
-                                      "probe=weighted"),
+    EXPECT_THROW((void)parse_scenario("one_plus_beta:beta=1e999"), cli_error);
+    EXPECT_THROW((void)parse_scenario("weighted:n=512,k=2,d=4,skew=inf"),
                  cli_error);
 }
 
 TEST(ScenarioParse, EnumValuesAreValidated) {
-    EXPECT_THROW((void)parse_scenario("kd:probe=nope"), cli_error);
     EXPECT_THROW((void)parse_scenario("kd:kernel=nope"), cli_error);
     EXPECT_THROW((void)parse_scenario("kd:metric=nope"), cli_error);
     EXPECT_THROW((void)parse_scenario("kd:replacement=nope"), cli_error);
@@ -108,19 +108,15 @@ TEST(ScenarioParse, ParameterRangesAreValidated) {
     EXPECT_THROW((void)parse_scenario("kd:n=512,k=4,d=4"), cli_error);
     EXPECT_THROW((void)parse_scenario("kd:n=2,k=1,d=4"), cli_error);
     EXPECT_NO_THROW((void)parse_scenario("kd:n=512,k=1,d=1"));
-    EXPECT_THROW((void)parse_scenario("kd:probe=one_plus_beta,beta=1.5"),
+    EXPECT_THROW((void)parse_scenario("one_plus_beta:beta=1.5"), cli_error);
+    EXPECT_THROW((void)parse_scenario("weighted:n=512,k=2,d=4,skew=-1"),
                  cli_error);
-    EXPECT_THROW(
-        (void)parse_scenario("kd:n=512,k=2,d=4,probe=weighted,skew=-1"),
-        cli_error);
-    EXPECT_THROW((void)parse_scenario("kd:probe=threshold,cap=0"), cli_error);
-    // probe only modifies the kd family.
-    EXPECT_THROW((void)parse_scenario("single:probe=weighted"), cli_error);
+    EXPECT_THROW((void)parse_scenario("threshold:cap=0"), cli_error);
 }
 
 TEST(ScenarioParse, LevelKernelRejectionNamesTheCapableSet) {
     const auto message =
-        parse_error("kd:n=512,probe=threshold,kernel=level");
+        parse_error("threshold:n=512,kernel=level");
     EXPECT_NE(message.find("policy 'threshold' has no level-compressed "
                            "kernel"),
               std::string::npos);
@@ -144,14 +140,13 @@ TEST(ScenarioParse, AutoKernelPicksLevelWhereSupported) {
               kernel_kind::level);
     EXPECT_EQ(resolve_kernel(parse_scenario("single:n=512")),
               kernel_kind::level);
-    EXPECT_EQ(resolve_kernel(parse_scenario(
-                  "kd:n=512,k=2,d=4,probe=one_plus_beta")),
+    EXPECT_EQ(resolve_kernel(parse_scenario("one_plus_beta:n=512")),
               kernel_kind::level);
     EXPECT_EQ(resolve_kernel(parse_scenario(
-                  "kd:n=512,k=2,d=4,probe=weighted,skew=0.5")),
+                  "weighted:n=512,k=2,d=4,skew=0.5")),
               kernel_kind::level);
     // Policies without a level kernel degrade to perbin under auto.
-    EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,probe=threshold")),
+    EXPECT_EQ(resolve_kernel(parse_scenario("threshold:n=512")),
               kernel_kind::per_bin);
     EXPECT_EQ(resolve_kernel(parse_scenario("greedy:n=512,k=2,d=4")),
               kernel_kind::per_bin);
@@ -172,10 +167,8 @@ TEST(ScenarioParse, ResolvedBallsFollowsThePolicy) {
     EXPECT_EQ(resolved_balls(parse_scenario("kd:n=1000,k=3,d=6")), 999u);
     EXPECT_EQ(resolved_balls(parse_scenario("kd:n=1000,k=1,d=1")), 1000u);
     EXPECT_EQ(resolved_balls(parse_scenario("single:n=1000")), 1000u);
-    EXPECT_EQ(resolved_balls(parse_scenario("dchoice:n=1000,k=1,d=2")),
-              1000u);
-    EXPECT_EQ(resolved_balls(parse_scenario("kd:n=1000,probe=one_plus_beta")),
-              1000u);
+    EXPECT_EQ(resolved_balls(parse_scenario("dchoice:n=1000,d=2")), 1000u);
+    EXPECT_EQ(resolved_balls(parse_scenario("one_plus_beta:n=1000")), 1000u);
     EXPECT_EQ(resolved_balls(parse_scenario("greedy:n=1000,k=3,d=6")), 999u);
     EXPECT_EQ(resolved_balls(parse_scenario("kd:n=1000,k=3,d=6,balls=42")),
               42u);
@@ -198,10 +191,10 @@ TEST(ScenarioParse, ExplicitBallsMustBeWholeRounds) {
 }
 
 TEST(ScenarioParse, ToStringRoundTripsFullDoublePrecision) {
-    scenario sc = parse_scenario("kd:n=512,probe=one_plus_beta");
+    scenario sc = parse_scenario("one_plus_beta:n=512");
     sc.beta = 0.123456789012345;
     EXPECT_EQ(parse_scenario(kdc::core::to_string(sc)), sc);
-    sc = parse_scenario("kd:n=512,k=2,d=4,probe=weighted");
+    sc = parse_scenario("weighted:n=512,k=2,d=4");
     sc.skew = 1.0 / 3.0;
     EXPECT_EQ(parse_scenario(kdc::core::to_string(sc)), sc);
 }
@@ -209,9 +202,9 @@ TEST(ScenarioParse, ToStringRoundTripsFullDoublePrecision) {
 TEST(ScenarioParse, ToStringRoundTrips) {
     for (const char* text :
          {"kd:n=1024,k=2,d=4", "single:n=512,kernel=level",
-          "kd:n=4096,k=8,d=16,probe=weighted,skew=0.5,metric=gap",
-          "kd:n=256,probe=threshold,threshold=3,cap=8,metric=messages",
-          "dchoice:n=512,k=1,d=3,kernel=perbin",
+          "weighted:n=4096,k=8,d=16,skew=0.5,metric=gap",
+          "threshold:n=256,threshold=3,cap=8,metric=messages",
+          "dchoice:n=512,d=3,kernel=perbin",
           "kd:n=512,k=2,d=4,replacement=without,kernel=perbin",
           "greedy:n=512,k=2,d=4,balls=100"}) {
         const auto sc = parse_scenario(text);
@@ -219,27 +212,171 @@ TEST(ScenarioParse, ToStringRoundTrips) {
     }
 }
 
-TEST(ScenarioParse, FamilySpellingAndProbeSpellingAgree) {
-    // "weighted:..." is the same scenario as "kd:probe=weighted,..." up to
-    // the spelling of the family field.
-    auto via_family = parse_scenario("weighted:n=512,k=2,d=4,skew=0.5");
-    const auto via_probe =
-        parse_scenario("kd:n=512,k=2,d=4,probe=weighted,skew=0.5");
-    EXPECT_EQ(kdc::core::resolved_policy(via_family),
-              kdc::core::resolved_policy(via_probe));
-    EXPECT_EQ(kdc::core::resolved_policy(via_probe), "weighted");
+TEST(ScenarioParse, PolicyTableListsTheSevenFamilies) {
+    const std::vector<std::string> families{
+        "dchoice", "greedy", "kd", "one_plus_beta", "single", "threshold",
+        "weighted"};
+    for (const auto& family : families) {
+        EXPECT_EQ(parse_scenario(family + ":n=512").family, family);
+    }
+    // The unknown-family error lists exactly the table, in order.
+    std::string listed;
+    for (const auto& family : families) {
+        listed += (listed.empty() ? "" : ", ") + family;
+    }
+    EXPECT_EQ(parse_error("no_such_policy:n=512"),
+              "unknown scenario family 'no_such_policy'; valid families: " +
+                  listed);
+    // A hand-built scenario with an unknown family fails validation the
+    // same way.
+    scenario sc;
+    sc.family = "no_such_policy";
+    EXPECT_THROW(kdc::core::validate_scenario(sc), cli_error);
 }
 
-TEST(ScenarioParse, RegistryListsBuiltinsAndAcceptsExtensions) {
-    auto& registry = policy_registry::instance();
-    const auto names = registry.names();
-    for (const char* name : {"kd", "single", "dchoice", "greedy", "weighted",
-                             "one_plus_beta", "threshold"}) {
-        EXPECT_NE(registry.find(name), nullptr) << name;
+namespace {
+
+/// The family-specific keys each family reads, independently of the
+/// implementation's table.
+struct family_keys {
+    const char* family;
+    std::set<std::string> keys;
+};
+
+const std::vector<family_keys>& family_key_table() {
+    static const std::vector<family_keys> table{
+        {"kd", {"k", "d"}},
+        {"single", {}},
+        {"dchoice", {"d"}},
+        {"greedy", {"k", "d"}},
+        {"weighted", {"k", "d", "skew"}},
+        {"one_plus_beta", {"beta"}},
+        {"threshold", {"threshold", "cap"}},
+    };
+    return table;
+}
+
+/// The keys of a canonical echo "family:key=value,...".
+std::set<std::string> echoed_keys(const std::string& echo) {
+    std::set<std::string> keys;
+    std::size_t at = echo.find(':') + 1;
+    while (at < echo.size()) {
+        const auto comma = std::min(echo.find(',', at), echo.size());
+        const std::string pair = echo.substr(at, comma - at);
+        keys.insert(pair.substr(0, pair.find('=')));
+        at = comma + 1;
     }
-    EXPECT_GE(names.size(), 7u);
-    EXPECT_EQ(registry.find("no_such_policy"), nullptr);
-    EXPECT_THROW((void)registry.at("no_such_policy"), cli_error);
+    return keys;
+}
+
+} // namespace
+
+TEST(ScenarioKeys, EchoOfEachFamilyDefaultHoldsExactlyItsLiveKeys) {
+    for (const auto& row : family_key_table()) {
+        SCOPED_TRACE(row.family);
+        // balls is live everywhere but echoed only when set (0 = the
+        // family default).
+        std::set<std::string> expected{"n",   "replacement", "kernel",
+                                       "par", "metric",      "warmup"};
+        expected.insert(row.keys.begin(), row.keys.end());
+        const auto sc = parse_scenario(std::string(row.family) + ":");
+        const std::string echo = kdc::core::to_string(sc);
+        EXPECT_EQ(echoed_keys(echo), expected) << echo;
+        EXPECT_EQ(parse_scenario(echo), sc) << echo;
+        for (const auto& key : expected) {
+            EXPECT_TRUE(scenario_reads_key(sc, key)) << key;
+        }
+        EXPECT_TRUE(scenario_reads_key(sc, "balls"));
+        EXPECT_FALSE(scenario_reads_key(sc, "shards"));
+        EXPECT_FALSE(scenario_reads_key(sc, "selpar"));
+        EXPECT_FALSE(scenario_reads_key(sc, "probe"));
+    }
+    // par=round makes shards and selpar live (kd, the one family with a
+    // round-parallel kernel).
+    const auto round = parse_scenario("kd:n=4096,k=2,d=4,par=round");
+    const auto keys = echoed_keys(kdc::core::to_string(round));
+    EXPECT_EQ(keys.count("shards"), 1u);
+    EXPECT_EQ(keys.count("selpar"), 1u);
+}
+
+TEST(ScenarioKeys, EveryDeadKeyIsRefused) {
+    for (const auto& row : family_key_table()) {
+        for (const char* key :
+             {"k", "d", "skew", "beta", "threshold", "cap"}) {
+            if (row.keys.count(key) != 0) {
+                continue;
+            }
+            const std::string text =
+                std::string(row.family) + ":" + key + "=1";
+            EXPECT_NE(parse_error(text).find(
+                          "scenario key '" + std::string(key) +
+                          "' is not read by family '" + row.family + "'"),
+                      std::string::npos)
+                << text;
+        }
+        for (const char* key : {"shards", "selpar"}) {
+            const std::string text = std::string(row.family) + ":" + key +
+                                     "=4,par=rep";
+            EXPECT_NE(parse_error(text).find(" under par=rep; it reads: "),
+                      std::string::npos)
+                << text;
+        }
+    }
+    // The base scenario counts: a merge that keeps the family keeps its
+    // key set.
+    scenario base;
+    base.family = "single";
+    EXPECT_THROW((void)parse_scenario("k=2", base), cli_error);
+}
+
+TEST(ScenarioKeys, DeadKeyErrorNamesTheFamilysKeys) {
+    EXPECT_EQ(parse_error("kd:n=512,k=2,d=4,beta=0.3"),
+              "scenario key 'beta' is not read by family 'kd'; it reads: n, "
+              "k, d, balls, replacement, kernel, par, metric, warmup");
+}
+
+TEST(ScenarioKeys, ProbeIsAnUnknownKey) {
+    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,probe=weighted")
+                  .find("unknown scenario key 'probe'"),
+              std::string::npos);
+}
+
+TEST(ScenarioKeys, EchoCarriesOnlyLiveKeys) {
+    const std::string kd =
+        kdc::core::to_string(parse_scenario("kd:n=4096,k=2,d=4"));
+    for (const char* dead :
+         {"skew", "beta", "threshold", "cap", "shards", "selpar"}) {
+        EXPECT_EQ(kd.find(dead), std::string::npos) << dead << " in " << kd;
+    }
+    const std::string beta =
+        kdc::core::to_string(parse_scenario("one_plus_beta:n=4096,beta=0.25"));
+    EXPECT_NE(beta.find("beta=0.25"), std::string::npos) << beta;
+    EXPECT_EQ(beta.find(",k="), std::string::npos) << beta;
+    EXPECT_EQ(beta.find(",d="), std::string::npos) << beta;
+}
+
+TEST(ScenarioParse, PerBinBinIdsMustFit32Bits) {
+    EXPECT_NE(parse_error("kd:n=5e9,k=2,d=4,kernel=perbin")
+                  .find("32-bit ids and need n < 2^32 - 1"),
+              std::string::npos);
+    EXPECT_NE(parse_error("greedy:n=5e9,k=2,d=4")
+                  .find("32-bit ids and need n < 2^32 - 1"),
+              std::string::npos);
+    EXPECT_NE(parse_error("kd:n=5e9,k=2,d=4,par=round")
+                  .find("32-bit ids and need n < 2^32 - 1"),
+              std::string::npos);
+    // The last 32-bit id is reserved, so n = 2^32 - 2 is the largest.
+    EXPECT_THROW((void)parse_scenario("kd:n=4294967295,k=2,d=4,"
+                                      "kernel=perbin"),
+                 cli_error);
+    EXPECT_EQ(parse_error("kd:n=4294967294,k=2,d=4,kernel=perbin"), "");
+    // kernel=auto resolves to level, whose state is O(max load).
+    EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=5e9,k=2,d=4")),
+              kernel_kind::level);
+    // par=round packs probe slots into 32 bits.
+    EXPECT_NE(parse_error("kd:n=4e9,k=2,d=3e9,par=round")
+                  .find("par=round packs probe slots into 32 bits"),
+              std::string::npos);
 }
 
 TEST(ScenarioCli, ScenarioOverridesLegacyFlagsKeyByKey) {
@@ -284,8 +421,12 @@ TEST(ScenarioParse, ParAndShardsKeys) {
     EXPECT_EQ(sharded.par, kdc::core::par_mode::round);
     EXPECT_EQ(sharded.shards, 64u);
 
-    EXPECT_EQ(parse_scenario("kd:n=1024,k=2,d=4,shards=auto").shards, 0u);
-    EXPECT_EQ(parse_scenario("kd:n=1024,k=2,d=4,shards=1e3").shards, 1000u);
+    EXPECT_EQ(
+        parse_scenario("kd:n=1024,k=2,d=4,par=round,shards=auto").shards,
+        0u);
+    EXPECT_EQ(
+        parse_scenario("kd:n=1024,k=2,d=4,par=round,shards=1e3").shards,
+        1000u);
     EXPECT_EQ(parse_scenario("kd:n=1024,k=2,d=4,par=rep").par,
               kdc::core::par_mode::rep);
 }
@@ -293,14 +434,18 @@ TEST(ScenarioParse, ParAndShardsKeys) {
 TEST(ScenarioParse, SelparKey) {
     // Default: auto selection segments, carried as 0.
     EXPECT_EQ(parse_scenario("kd:n=1024,k=2,d=4").selpar, 0u);
-    EXPECT_EQ(parse_scenario("kd:n=1024,k=2,d=4,selpar=auto").selpar, 0u);
+    EXPECT_EQ(
+        parse_scenario("kd:n=1024,k=2,d=4,par=round,selpar=auto").selpar,
+        0u);
     EXPECT_EQ(
         parse_scenario("kd:n=1024,k=2,d=4,par=round,selpar=8").selpar, 8u);
-    EXPECT_EQ(parse_scenario("kd:n=1024,k=2,d=4,selpar=1e2").selpar, 100u);
-    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,selpar=0")
+    EXPECT_EQ(
+        parse_scenario("kd:n=1024,k=2,d=4,par=round,selpar=1e2").selpar,
+        100u);
+    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,par=round,selpar=0")
                   .find("'selpar' must be 'auto' or a positive count"),
               std::string::npos);
-    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,selpar=many")
+    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,par=round,selpar=many")
                   .find("'selpar'"),
               std::string::npos);
 }
@@ -309,7 +454,7 @@ TEST(ScenarioParse, ParAndShardsRoundTripThroughToString) {
     for (const char* text :
          {"kd:n=1024,k=2,d=4,par=round,shards=16",
           "kd:n=4096,k=8,d=16,par=round",
-          "kd:n=512,k=2,d=4,shards=7",
+          "kd:n=512,k=2,d=4,par=round,shards=7",
           "kd:n=512,k=2,d=4,par=round,shards=4,selpar=7"}) {
         const auto sc = parse_scenario(text);
         EXPECT_EQ(parse_scenario(kdc::core::to_string(sc)), sc) << text;
@@ -321,7 +466,7 @@ TEST(ScenarioParse, ParAndShardsErrorsArePrecise) {
     EXPECT_NE(parse_error("kd:n=512,k=2,d=4,par=parallel")
                   .find("par must be 'rep' or 'round'"),
               std::string::npos);
-    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,shards=0")
+    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,par=round,shards=0")
                   .find("'shards' must be 'auto' or a positive count"),
               std::string::npos);
 
@@ -329,8 +474,7 @@ TEST(ScenarioParse, ParAndShardsErrorsArePrecise) {
     // with-replacement probes.
     EXPECT_NE(parse_error("single:n=512,par=round").find("'kd' family"),
               std::string::npos);
-    EXPECT_NE(parse_error("kd:n=512,k=2,d=4,probe=weighted,skew=0.5,"
-                          "par=round")
+    EXPECT_NE(parse_error("weighted:n=512,k=2,d=4,skew=0.5,par=round")
                   .find("'kd' family"),
               std::string::npos);
     EXPECT_NE(parse_error("kd:n=512,k=2,d=4,replacement=without,par=round")

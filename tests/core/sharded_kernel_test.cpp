@@ -5,7 +5,6 @@
 #include "core/sharded_kernel.hpp"
 
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,22 +43,6 @@ TEST(ShardLayout, ShardOfInvertsBeginEnd) {
         EXPECT_GE(bin, layout.begin(s));
         EXPECT_LT(bin, layout.end(s));
     }
-}
-
-TEST(ShardedLoadsView, SpansTileTheLoadVector) {
-    load_vector loads(100);
-    std::iota(loads.begin(), loads.end(), 0u);
-    const shard_layout layout(loads.size(), 6);
-    const sharded_loads view(loads, layout);
-    std::uint64_t cursor = 0;
-    for (std::uint64_t s = 0; s < layout.shards(); ++s) {
-        const auto span = view.shard_span(s);
-        ASSERT_EQ(span.size(), layout.size(s));
-        for (const auto value : span) {
-            EXPECT_EQ(value, loads[cursor++]);
-        }
-    }
-    EXPECT_EQ(cursor, loads.size());
 }
 
 TEST(ResolveShardCount, AutoScalesWithBinsAndClampsRequests) {

@@ -176,6 +176,37 @@ TEST(DocsGrammar, ErrorCatalogCoversUnknownKeyMessage) {
     ASSERT_FALSE(level_round.empty());
     EXPECT_NE(page.find(level_round), std::string::npos)
         << "docs error catalog is missing or stale: " << level_round;
+
+    // So are the unknown-family, dead-key and 32-bit bin-id refusals, with
+    // the offending input spelled '...' as the catalog does.
+    const auto catalog_form = [](const std::string& text,
+                                 const std::vector<std::string>& inputs) {
+        std::string message;
+        try {
+            (void)parse_scenario(text);
+        } catch (const cli_error& err) {
+            message = err.what();
+        }
+        EXPECT_FALSE(message.empty()) << text << " was accepted";
+        for (const std::string& input : inputs) {
+            const auto at = message.find(input);
+            EXPECT_NE(at, std::string::npos) << message;
+            if (at != std::string::npos) {
+                message.replace(at, input.size(), "...");
+            }
+        }
+        return message;
+    };
+    for (const std::string& line :
+         {catalog_form("zzz:n=512", {"zzz"}),
+          catalog_form("kd:n=512,k=2,d=4,beta=0.3",
+                       {"beta", "kd",
+                        "n, k, d, balls, replacement, kernel, par, metric, "
+                        "warmup"}),
+          catalog_form("kd:n=5e9,k=2,d=4,kernel=perbin", {"5000000000"})}) {
+        EXPECT_NE(page.find(line), std::string::npos)
+            << "docs error catalog is missing or stale: " << line;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,32 +1,30 @@
 // Allocation-as-a-service latency/throughput sweep: the serve/ subsystem
-// (sessions -> channel -> sharded dispatcher) driven by open-loop Poisson
+// (sessions -> channel -> serial dispatcher) driven by open-loop Poisson
 // arrivals across a utilization sweep, in both probing modes.
 //
 // The measurement marries the paper's message-cost axis to an operator's
 // latency axis: batch (k,d)-choice spends exactly d probe messages per
 // request where per-task d-choice spends k*d (the closed form
 // sched/scheduler.hpp predicts), and this bench reports the allocate
-// latency quantiles (p50/p99/p999, simulated time) either mode achieves at
-// each offered load. All timing is simulated, so every number here is
-// byte-deterministic — at any --threads value (the determinism contract,
-// docs/service.md).
+// latency quantiles (p50/p99/p999, simulated time) batch mode achieves at
+// each offered load. Per-task cells report no latency: the timing model
+// charges service_time per request whatever its probe count, so their
+// latencies would repeat the batch cells' (docs/service.md). All timing is
+// simulated, so every number here is byte-deterministic.
 //
 //   ./service_latency [--bins=4096] [--k=4] [--d=8] [--clients=16]
 //                     [--requests=20000] [--churn=0.2] [--seed=17]
-//                     [--shards=0] [--threads=1] [--mode=both]
-//                     [--scenario "kd:n=4096,k=4,d=8"]
+//                     [--mode=both] [--scenario "kd:n=4096,k=4,d=8"]
 //
 // --scenario maps n -> bins plus k and d, overriding the legacy flags key
 // by key (core/scenario.hpp). Modes:
 //
 //   * default      — human-readable sweep table;
-//   * --log        — print the base config's allocation log and exit; the
-//                    service-soak CI job byte-compares this output across
-//                    --threads values;
+//   * --log        — print the base config's allocation log and exit;
 //   * --json       — write BENCH_service.json (schema
-//                    kdchoice-bench-service/v1), the recorded
+//                    kdchoice-bench-service/v2), the recorded
 //                    latency/throughput trajectory;
-//   * --guard      — with --json: fail (exit 1) if any cell's p99 is
+//   * --guard      — with --json: fail (exit 1) if any batch cell's p99 is
 //                    vacuous (<= 0 or ordered wrong), if a cell's message
 //                    cost misses the closed form, or if the served
 //                    sequence diverges from the serial oracle.
@@ -73,8 +71,6 @@ service_config base_config(const kdc::arg_parser& args) {
     config.batch_window = args.get_positive_double("window");
     config.service_time = args.get_positive_double("service-time");
     config.max_batch = static_cast<std::uint64_t>(args.get_int("max-batch"));
-    config.shards = static_cast<std::uint64_t>(args.get_int("shards"));
-    config.threads = args.get_threads();
     return config;
 }
 
@@ -128,7 +124,7 @@ void write_json(const std::string& path, const service_config& base,
     }
     out << "{\n"
         << "  \"bench\": \"service_latency\",\n"
-        << "  \"schema\": \"kdchoice-bench-service/v1\",\n"
+        << "  \"schema\": \"kdchoice-bench-service/v2\",\n"
         << "  \"bins\": " << base.bins << ",\n"
         << "  \"k\": " << base.k << ",\n"
         << "  \"d\": " << base.d << ",\n"
@@ -142,12 +138,14 @@ void write_json(const std::string& path, const service_config& base,
         out << "    {\"mode\": \"" << probing_name(cell.mode)
             << "\", \"util\": " << cell.utilization
             << ", \"messages_per_request\": " << r.messages_per_request
-            << ", \"messages_per_ball\": " << r.messages_per_ball
-            << ", \"latency_p50\": " << r.latency_p50
-            << ", \"latency_p99\": " << r.latency_p99
-            << ", \"latency_p999\": " << r.latency_p999
-            << ", \"latency_mean\": " << r.latency_mean
-            << ", \"batches\": " << r.batches
+            << ", \"messages_per_ball\": " << r.messages_per_ball;
+        if (cell.mode == probing::batch) {
+            out << ", \"latency_p50\": " << r.latency_p50
+                << ", \"latency_p99\": " << r.latency_p99
+                << ", \"latency_p999\": " << r.latency_p999
+                << ", \"latency_mean\": " << r.latency_mean;
+        }
+        out << ", \"batches\": " << r.batches
             << ", \"max_load\": " << r.max_load
             << ", \"throughput\": " << throughput(cell) << "}"
             << (i + 1 < cells.size() ? "," : "") << '\n';
@@ -167,10 +165,12 @@ int run_guard(const service_config& base,
     for (const sweep_cell& cell : cells) {
         const service_result& r = cell.result;
         const char* name = probing_name(cell.mode);
-        // Arm 1: the latency quantiles must be real measurements. An empty
-        // sample would leave p99 at 0.0 — the vacuous cell this guard
-        // exists to catch.
-        if (!(r.latency_p50 > 0.0 && r.latency_p99 >= r.latency_p50 &&
+        // Arm 1: a batch cell's latency quantiles must be real
+        // measurements. An empty sample would leave p99 at 0.0 — the
+        // vacuous cell this guard exists to catch. Per-task cells report
+        // no latency, so there is nothing to check.
+        if (cell.mode == probing::batch &&
+            !(r.latency_p50 > 0.0 && r.latency_p99 >= r.latency_p50 &&
               r.latency_p999 >= r.latency_p99)) {
             std::cerr << "guard FAIL: vacuous/unordered latency cell ("
                       << name << ", util " << cell.utilization
@@ -206,8 +206,8 @@ int run_guard(const service_config& base,
     }
     if (failures == 0) {
         std::cerr << "guard OK: " << cells.size()
-                  << " cells non-vacuous, message closed form exact, "
-                     "oracle log identical\n";
+                  << " cells checked, batch latency non-vacuous, message "
+                     "closed form exact, oracle log identical\n";
     }
     return failures;
 }
@@ -225,22 +225,19 @@ int main(int argc, char** argv) {
         args.add_option("churn", "0.2",
                         "P(an arrival releases an earlier allocation)");
         args.add_option("seed", "17", "master seed");
-        args.add_option("shards", "0", "dispatcher shards (0 = auto)");
         args.add_option("mode", "both", "batch, per_task or both");
         args.add_option("delay", "0.5", "one-way channel delay");
         args.add_option("window", "1.0", "dispatcher batching window");
         args.add_option("service-time", "0.05",
                         "dispatcher busy time per request");
         args.add_option("max-batch", "64", "dispatcher drain limit");
-        args.add_threads_option();
         args.add_scenario_option();
-        args.add_flag("log", "print the allocation log and exit "
-                             "(byte-compared across --threads by CI)");
+        args.add_flag("log", "print the allocation log and exit");
         args.add_flag("json", "write the JSON trajectory instead of a table");
         args.add_option("json-out", "BENCH_service.json", "output path");
-        args.add_flag("guard", "with --json: fail on vacuous latency "
-                               "cells, off-closed-form message costs or "
-                               "oracle divergence");
+        args.add_flag("guard", "with --json: fail on vacuous batch "
+                               "latency cells, off-closed-form message "
+                               "costs or oracle divergence");
         if (!args.parse(argc, argv)) {
             return 0;
         }
@@ -274,11 +271,15 @@ int main(int argc, char** argv) {
         table.set_align(1, kdc::table_align::left);
         for (const sweep_cell& cell : cells) {
             const service_result& r = cell.result;
+            // Per-task latency is not modeled (see the header comment).
+            const auto latency = [&](double value) {
+                return cell.mode == probing::batch
+                           ? kdc::format_fixed(value, 2)
+                           : std::string("-");
+            };
             table.add_row({kdc::format_fixed(cell.utilization, 2),
-                           probing_name(cell.mode),
-                           kdc::format_fixed(r.latency_p50, 2),
-                           kdc::format_fixed(r.latency_p99, 2),
-                           kdc::format_fixed(r.latency_p999, 2),
+                           probing_name(cell.mode), latency(r.latency_p50),
+                           latency(r.latency_p99), latency(r.latency_p999),
                            kdc::format_fixed(r.messages_per_request, 1),
                            kdc::format_fixed(r.messages_per_ball, 2),
                            std::to_string(r.batches),
@@ -289,7 +290,7 @@ int main(int argc, char** argv) {
                   << base.d << " (msgs/ball = d/k) while per_task spends "
                      "k*d = "
                   << base.k * base.d
-                  << "; latency rises with utilization in both modes.\n";
+                  << "; batch latency rises with utilization.\n";
         return 0;
     } catch (const std::exception& error) {
         std::cerr << "error: " << error.what() << '\n';

@@ -19,7 +19,7 @@ constexpr std::array<const char*, fault_site_count> site_names = {
     "snapshot.serialize", "snapshot.write", "snapshot.rename",
     "journal.commit",     "resume.load",    "resume.validate",
     "steady.pilot",       "perbin.alloc",   "serve.accept",
-    "serve.batch",        "serve.commit",
+    "serve.batch",
 };
 
 /// The armed plan and its hit counters. The plan is written under the
@@ -158,8 +158,7 @@ std::vector<fault_site> snapshot_path_sites() {
 }
 
 std::vector<fault_site> serve_sites() {
-    return {fault_site::serve_accept, fault_site::serve_batch,
-            fault_site::serve_commit};
+    return {fault_site::serve_accept, fault_site::serve_batch};
 }
 
 const char* fault_action_name(fault_action action) noexcept {

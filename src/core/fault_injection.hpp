@@ -57,8 +57,7 @@ enum class fault_site : std::uint8_t {
     steady_pilot,       ///< steady state: before each warmup=ff pilot sim
     perbin_alloc,       ///< make_process: before a per-bin state allocation
     serve_accept,       ///< dispatcher: on accepting a batch from the channel
-    serve_batch,        ///< dispatcher: before a batch's gather/select phases
-    serve_commit,       ///< dispatcher: before the parallel commit phase
+    serve_batch,        ///< dispatcher: before a batch is served
     count_              ///< sentinel, not a site
 };
 

@@ -970,8 +970,9 @@ void sharded_kd_process::for_each_shard_parallel(
     void (sharded_kd_process::*phase)(std::uint64_t)) {
     const std::uint64_t shard_count = layout_.shards();
     if (pool_ != nullptr && shard_count > 1) {
-        pool_->run_phase(static_cast<std::size_t>(shard_count),
-                         [this, phase](std::size_t s) { (this->*phase)(s); });
+        pool_->run_ranges(shard_count, static_cast<std::size_t>(shard_count),
+                          [this, phase](std::size_t, std::uint64_t s,
+                                        std::uint64_t) { (this->*phase)(s); });
     } else {
         for (std::uint64_t s = 0; s < shard_count; ++s) {
             (this->*phase)(s);

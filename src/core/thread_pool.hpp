@@ -32,11 +32,10 @@ namespace kdc::core {
 /// Exception contract: a job that throws does NOT kill its worker. The
 /// pool captures the FIRST exception (later ones are dropped), finishes
 /// draining, and rethrows it from the next wait_idle() call — after which
-/// the pool is clean and fully reusable. run_phase/run_ranges capture and
-/// rethrow their first exception at the phase barrier instead (see
-/// run_phase). submit() is safe from any thread, including from inside a
-/// running job; wait_idle() must be called from outside the pool's own
-/// workers.
+/// the pool is clean and fully reusable. run_ranges captures and rethrows
+/// its first exception at the phase barrier instead (see run_ranges).
+/// submit() is safe from any thread, including from inside a running job;
+/// wait_idle() must be called from outside the pool's own workers.
 class thread_pool {
 public:
     /// Spawns `threads` workers (>= 1 enforced by contract).
@@ -56,30 +55,22 @@ public:
     /// pool stays usable afterwards).
     void wait_idle();
 
-    /// Runs body(0), body(1), ..., body(count - 1) across the pool and
-    /// returns when ALL of them have finished — the barrier primitive behind
-    /// the sharded round-parallel kernel's phases (core/sharded_kernel.hpp).
+    /// Partitions [0, total) into `parts` contiguous ranges, runs
+    /// body(part, begin, end) for each across the pool and returns when ALL
+    /// of them have finished — the barrier primitive behind the sharded
+    /// round-parallel kernel's phases (core/sharded_kernel.hpp); with
+    /// parts == total every part is the single index begin.
     ///
-    /// The calling thread PARTICIPATES: it claims indices like any worker,
-    /// so run_phase makes progress even when every worker is busy with other
-    /// jobs, and is therefore safe to call from inside a running job (unlike
-    /// wait_idle). Indices are claimed dynamically in an unspecified order;
-    /// bodies must write to disjoint state per index (the sharded kernel's
-    /// phases do). A body that throws short-circuits the phase: remaining
-    /// indices are abandoned (already-started ones still finish), the
-    /// barrier completes, and the FIRST exception is rethrown here on the
-    /// calling thread. Nested run_phase calls from inside a body are not
-    /// supported.
-    void run_phase(std::size_t count,
-                   const std::function<void(std::size_t)>& body);
-
-    /// Partitions [0, total) into `parts` contiguous ranges and runs
-    /// body(part, begin, end) for each across the pool — run_phase with the
-    /// index space pre-sliced by phase_range. The sharded kernel's
-    /// segment-parallel phases (tape pregeneration slices, selection
-    /// segments) are built on this. Same contract as run_phase: the caller
-    /// participates, bodies write disjoint state, and the first exception a
-    /// body throws is rethrown at the barrier.
+    /// The calling thread PARTICIPATES: it claims parts like any worker,
+    /// so run_ranges makes progress even when every worker is busy with
+    /// other jobs, and is therefore safe to call from inside a running job
+    /// (unlike wait_idle). Parts are claimed dynamically in an unspecified
+    /// order; bodies must write to disjoint state per part (the sharded
+    /// kernel's phases do). A body that throws short-circuits the phase:
+    /// remaining parts are abandoned (already-started ones still finish),
+    /// the barrier completes, and the FIRST exception is rethrown here on
+    /// the calling thread. Nested run_ranges calls from inside a body are
+    /// not supported.
     void run_ranges(std::uint64_t total, std::size_t parts,
                     const std::function<void(std::size_t, std::uint64_t,
                                              std::uint64_t)>& body);
@@ -103,6 +94,12 @@ public:
     [[nodiscard]] static std::uint64_t threads_spawned() noexcept;
 
 private:
+    /// Runs body(0), ..., body(count - 1) across the pool under
+    /// run_ranges's contract; run_ranges is this with the index space
+    /// pre-sliced by phase_range.
+    void run_phase(std::size_t count,
+                   const std::function<void(std::size_t)>& body);
+
     /// One worker's job deque. Guarded by its own mutex so pushes, local
     /// pops and steals on different workers never contend with each other;
     /// the control mutex below is only taken for the brief counter updates.

@@ -1,28 +1,15 @@
 // The allocation service's dispatcher: accepts batched requests from a
-// channel and routes them through gather / select / commit phases over the
-// per-shard bin state (serve/bin_shard.hpp).
+// channel and serves them one by one, in id order, against a single
+// per-bin load vector.
 //
-// One batch is processed like one chunk of the sharded kernel, shrunk to
-// request granularity:
-//
-//   pregen  (parallel over requests)  every request's probes and tie keys
-//           are drawn from a generator seeded derive_seed(seed, id), so the
-//           tape is a pure function of the request — independent of how
-//           requests were batched or which worker draws them;
-//   gather  (parallel over shards)    each shard copies the batch-start
-//           load of every probed bin it owns into the batch's slot table —
-//           the only phase that reads shard state, and it reads only the
-//           owner's stripe;
-//   select  (serial, id order)        requests are resolved one by one in
-//           id order against gathered loads PLUS an overlay of the deltas
-//           committed earlier in this batch. Effective load = batch-start
-//           load + overlay delta is exactly the live load a serial server
-//           would see, so the chosen bins equal the serial oracle's
-//           (serve/service.hpp) choice for every batching;
-//   commit  (parallel over shards)    each shard applies its own bins'
-//           deltas, in batch id order per shard, to its loads. Disjoint
-//           ownership makes this phase lock-free; +1/-1 deltas make
-//           cross-shard order irrelevant.
+// For each allocate the dispatcher draws the request's tape — probes and
+// tie keys from a generator seeded derive_seed(seed, id), probes-then-keys
+// per pool (one pool of d for batch mode, k pools of d for per-task mode)
+// — selects against the live loads and commits at once, so the next
+// request of the same batch already sees it. The tape is a pure function
+// of the request and every choice sees exactly the loads a one-request-
+// at-a-time server would, so the chosen bins equal the serial oracle's
+// (serve/service.hpp) for every batching.
 //
 // Releases are resolved SERVER-side: a release names the id of an earlier
 // allocate, and the dispatcher keeps an id -> bins map of live allocations
@@ -31,18 +18,15 @@
 // per-request tapes) that make the oracle comparison byte-exact.
 //
 // Fault sites (docs/robustness.md): serve.accept fires when a non-empty
-// batch is drained from the channel, serve.batch before a batch's phases,
-// serve.commit before the parallel commit phase.
+// batch is drained from the channel, serve.batch before a batch is served.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
-#include "core/sharded_kernel.hpp"
 #include "core/types.hpp"
-#include "serve/bin_shard.hpp"
 #include "serve/channel.hpp"
 #include "serve/message.hpp"
 
@@ -58,14 +42,14 @@ struct dispatcher_config {
     std::uint64_t d = 2;          ///< probe budget per allocate request
     probing mode = probing::batch;
     std::uint64_t seed = 1;       ///< master seed; request id selects the stream
-    std::uint64_t shards = 1;     ///< resolved shard count (1 <= shards <= bins)
+    std::uint64_t shards = 1;     ///< unread; perfbench/main.cpp still sets it
 };
 
 class dispatcher {
 public:
-    /// `pool` may be null (every phase runs on the calling thread). The
-    /// pool is borrowed — keep it alive for the dispatcher's lifetime.
-    dispatcher(const dispatcher_config& config, core::thread_pool* pool);
+    /// `pool` is unread; perfbench/main.cpp still passes one.
+    explicit dispatcher(const dispatcher_config& config,
+                        core::thread_pool* pool = nullptr);
 
     /// Drains up to `max` requests from `in` (FIFO, so ids arrive in
     /// increasing order when the sender respects arrival order). Fires the
@@ -73,9 +57,8 @@ public:
     [[nodiscard]] std::vector<request> accept(channel<request>& in,
                                               std::size_t max);
 
-    /// Processes one batch (ids strictly increasing) through the four
-    /// phases and returns responses in id order. Fires serve.batch before
-    /// the phases and serve.commit before the commit phase.
+    /// Serves one batch (ids strictly increasing) in id order and returns
+    /// responses in id order. Fires serve.batch before the first request.
     [[nodiscard]] std::vector<response>
     process(const std::vector<request>& batch);
 
@@ -83,8 +66,10 @@ public:
         return config_;
     }
 
-    /// Concatenation of the shard stripes: the full per-bin load vector.
-    [[nodiscard]] core::load_vector loads() const;
+    /// The per-bin load vector.
+    [[nodiscard]] const core::load_vector& loads() const noexcept {
+        return loads_;
+    }
 
     /// Allocations not yet released (id -> bins).
     [[nodiscard]] std::uint64_t live_allocations() const noexcept {
@@ -100,17 +85,19 @@ public:
     [[nodiscard]] std::uint64_t balls_held() const noexcept;
 
 private:
-    /// Runs body(0..count) on the pool's phase barrier, or serially when
-    /// the dispatcher has no pool. Bodies write disjoint state per index.
-    void run_phase(std::size_t count,
-                   const std::function<void(std::size_t)>& body);
+    [[nodiscard]] response allocate(const request& req);
+    [[nodiscard]] response release(const request& req);
 
     dispatcher_config config_;
-    core::thread_pool* pool_;
-    core::shard_layout layout_;
-    std::vector<bin_shard> shards_;
+    core::load_vector loads_;
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> live_;
     std::uint64_t probe_messages_ = 0;
+    // Per-request scratch, reused across requests: one pool's probes and
+    // tie keys, and batch mode's (height, key, probe index) candidates.
+    std::vector<std::uint32_t> probes_;
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>>
+        candidates_;
 };
 
 } // namespace kdc::serve

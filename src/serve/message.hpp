@@ -40,7 +40,7 @@ enum class request_kind : std::uint8_t {
 /// and doubles as the RNG stream selector: every probe and tie-break draw
 /// of request `id` comes from a generator seeded by (service seed, id), so
 /// the drawn probes are a pure function of the request — independent of
-/// batching, shard count and thread count.
+/// batching.
 struct request {
     request_kind kind = request_kind::allocate;
     std::uint64_t client = 0;

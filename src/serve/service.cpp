@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/sharded_kernel.hpp"
-#include "core/thread_pool.hpp"
 #include "rng/sampling.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256ss.hpp"
@@ -138,11 +136,7 @@ service_result run_service(const service_config& config) {
     dc.d = config.d;
     dc.mode = config.mode;
     dc.seed = config.seed;
-    dc.shards = core::resolve_shard_count(config.bins, config.shards);
-    const unsigned threads = core::resolve_thread_count(config.threads);
-    core::thread_pool* pool =
-        threads > 1 ? &core::persistent_pool(threads) : nullptr;
-    dispatcher dispatcher(dc, pool);
+    dispatcher dispatcher(dc);
 
     sim::simulator sim;
     memory_channel<request> inbox;

@@ -14,14 +14,16 @@
 //     and is busy for service_time * batch size;
 //   dispatcher --(channel_delay)--> client, latency = response - arrival.
 //
+// service_time is charged per request whatever its probe count, so the
+// latencies do not depend on the probing mode.
+//
 // Determinism contract (docs/service.md): the served ALLOCATION LOG — the
 // id-ordered sequence "which bins did request i get" — is a pure function
 // of the config. run_serial_oracle replays the same request sequence with
-// no batching, no shards, no pool and an independent straight-line
-// implementation of the selection rules; service_result::allocation_log is
-// byte-identical between the two at every --threads and --shards setting.
-// tests/serve/service_test.cpp holds that equality; the service-soak CI
-// job re-checks it across processes.
+// no batching and an independent straight-line implementation of the
+// selection rules; service_result::allocation_log is byte-identical
+// between the two. tests/serve/service_test.cpp holds that equality;
+// service_latency --guard re-checks it.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +49,8 @@ struct service_config {
     double batch_window = 1.0;      ///< dispatcher batching window
     double service_time = 0.05;     ///< dispatcher busy time per request
     std::uint64_t max_batch = 64;   ///< dispatcher drain limit per batch
-    std::uint64_t shards = 1;       ///< 0 = auto (resolve_shard_count)
-    unsigned threads = 1;           ///< 0 = all hardware threads
+    std::uint64_t shards = 1;       ///< unread; perfbench/main.cpp sets it
+    unsigned threads = 1;           ///< unread; perfbench/main.cpp reads it
 };
 
 struct service_result {

@@ -188,13 +188,15 @@ TEST(ThreadPool, RunPhaseBodyExceptionRethrowsAtTheBarrier) {
     thread_pool pool(4);
     std::atomic<std::uint32_t> executed{0};
     try {
-        pool.run_phase(64, [&](std::size_t index) {
-            if (index == 10) {
-                throw std::runtime_error("phase body 10 failed");
-            }
-            ++executed;
-        });
-        FAIL() << "run_phase should rethrow the body's exception";
+        pool.run_ranges(64, 64,
+                        [&](std::size_t part, std::uint64_t, std::uint64_t) {
+                            if (part == 10) {
+                                throw std::runtime_error(
+                                    "phase body 10 failed");
+                            }
+                            ++executed;
+                        });
+        FAIL() << "run_ranges should rethrow the body's exception";
     } catch (const std::runtime_error& err) {
         EXPECT_STREQ(err.what(), "phase body 10 failed");
     }
@@ -205,22 +207,27 @@ TEST(ThreadPool, RunPhaseBodyExceptionRethrowsAtTheBarrier) {
 
     // The next phase on the same pool is clean and complete.
     executed = 0;
-    EXPECT_NO_THROW(pool.run_phase(64, [&](std::size_t) { ++executed; }));
+    EXPECT_NO_THROW(pool.run_ranges(
+        64, 64,
+        [&](std::size_t, std::uint64_t, std::uint64_t) { ++executed; }));
     EXPECT_EQ(executed.load(), 64u);
 }
 
 TEST(ThreadPool, RunPhaseFirstExceptionWinsUnderConcurrentThrowers) {
     thread_pool pool(4);
     for (int round = 0; round < 20; ++round) {
-        EXPECT_THROW(pool.run_phase(16,
-                                    [](std::size_t) {
-                                        throw std::runtime_error("any");
-                                    }),
+        EXPECT_THROW(pool.run_ranges(16, 16,
+                                     [](std::size_t, std::uint64_t,
+                                        std::uint64_t) {
+                                         throw std::runtime_error("any");
+                                     }),
                      std::runtime_error);
         // Each failed phase leaves the pool reusable for the next round.
     }
     std::atomic<std::uint32_t> executed{0};
-    pool.run_phase(16, [&](std::size_t) { ++executed; });
+    pool.run_ranges(16, 16, [&](std::size_t, std::uint64_t, std::uint64_t) {
+        ++executed;
+    });
     EXPECT_EQ(executed.load(), 16u);
 }
 

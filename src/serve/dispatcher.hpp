@@ -54,8 +54,8 @@ public:
     /// Drains up to `max` requests from `in` (FIFO, so ids arrive in
     /// increasing order when the sender respects arrival order). Fires the
     /// serve.accept fault site once per non-empty batch.
-    [[nodiscard]] std::vector<request> accept(channel<request>& in,
-                                              std::size_t max);
+    [[nodiscard]] std::vector<request>
+    accept(memory_channel<request>& in, std::size_t max);
 
     /// Serves one batch (ids strictly increasing) in id order and returns
     /// responses in id order. Fires serve.batch before the first request.

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -28,7 +27,7 @@ namespace {
 /// seqs to global ids.
 struct request_sequence {
     std::vector<request> requests;      // index == id
-    std::vector<sim::sim_time> at;      // arrival time per id
+    std::vector<double> at;             // arrival time per id
 };
 
 request_sequence build_sequence(const service_config& config) {
@@ -138,77 +137,69 @@ service_result run_service(const service_config& config) {
     dc.seed = config.seed;
     dispatcher dispatcher(dc);
 
-    sim::simulator sim;
     memory_channel<request> inbox;
     std::vector<session> sessions(config.clients);
     service_result result;
     std::vector<double> allocate_latencies;
     allocate_latencies.reserve(seq.requests.size());
 
-    // Dispatcher-side scheduling state. One dispatch event is in flight at
-    // a time; it fires batch_window after the first pending request, but
-    // never while the dispatcher is still busy with the previous batch.
-    bool dispatch_pending = false;
-    sim::sim_time busy_until = 0.0;
-    std::function<void()> maybe_dispatch; // forward-declared for recursion
-    const auto do_dispatch = [&] {
-        dispatch_pending = false;
+    // One pass over the deliveries in id order (docs/service.md, "Timing
+    // model"). Request id reaches the inbox at at[id] + channel_delay;
+    // arrival times are sorted, so `next` walks deliveries in time order.
+    const std::size_t total = seq.requests.size();
+    std::size_t next = 0;
+    const auto delivery_time = [&] {
+        return seq.at[next] + config.channel_delay;
+    };
+    const auto deliver = [&] {
+        const request& req = seq.requests[next];
+        sessions[req.client].on_send(req.id, seq.at[next]);
+        inbox.send(req);
+        ++next;
+    };
+    double start = 0.0; // start of the latest batch
+    double busy_until = 0.0;
+    while (next < total || inbox.pending() > 0) {
+        // Trigger: the first delivery into an empty inbox, or else the
+        // previous batch's start, which left requests in the inbox.
+        double trigger = start;
+        if (inbox.pending() == 0) {
+            trigger = delivery_time();
+            deliver();
+        }
+        start = std::max(trigger + config.batch_window, busy_until);
+        // Deliveries due by the start win the tie and join the inbox
+        // before the batch is drained.
+        while (next < total && delivery_time() <= start) {
+            deliver();
+        }
         const std::vector<request> batch =
             dispatcher.accept(inbox, config.max_batch);
-        if (batch.empty()) {
-            return;
-        }
         const std::vector<response> responses = dispatcher.process(batch);
-        busy_until = sim.now() + config.service_time *
-                                     static_cast<double>(batch.size());
+        busy_until = start + config.service_time *
+                                 static_cast<double>(batch.size());
+        const double delivered = busy_until + config.channel_delay;
         result.batches += 1;
         for (std::size_t i = 0; i < responses.size(); ++i) {
             const request& req = batch[i];
             append_log_line(result.allocation_log, responses[i], req.kind);
+            sessions[req.client].on_response(responses[i], delivered);
             if (req.kind == request_kind::allocate) {
                 result.allocations += 1;
+                allocate_latencies.push_back(delivered - seq.at[req.id]);
             } else {
                 result.releases += 1;
             }
-            const sim::sim_time delivered =
-                busy_until + config.channel_delay;
-            sim.schedule_at(
-                delivered, [&, resp = responses[i], kind = req.kind,
-                            arrived = seq.at[responses[i].id]] {
-                    sessions[resp.client].on_response(resp, sim.now());
-                    if (kind == request_kind::allocate) {
-                        allocate_latencies.push_back(sim.now() - arrived);
-                    }
-                    result.completed_at =
-                        std::max(result.completed_at, sim.now());
-                });
         }
-        maybe_dispatch();
-    };
-    maybe_dispatch = [&] {
-        if (dispatch_pending || inbox.pending() == 0) {
-            return;
-        }
-        dispatch_pending = true;
-        const sim::sim_time when =
-            std::max(sim.now() + config.batch_window, busy_until);
-        sim.schedule_at(when, do_dispatch);
-    };
-
-    // One delivery event per request, scheduled upfront in id order: the
-    // event queue's FIFO tie-breaking then guarantees the inbox receives
-    // ids in increasing order even when arrival times collide.
-    for (std::size_t id = 0; id < seq.requests.size(); ++id) {
-        sessions[seq.requests[id].client].on_send(id, seq.at[id]);
-        sim.schedule_at(seq.at[id] + config.channel_delay,
-                        [&, id] {
-                            inbox.send(seq.requests[id]);
-                            maybe_dispatch();
-                        });
+        result.completed_at = std::max(result.completed_at, delivered);
     }
-    sim.run();
 
     KD_ENSURES_MSG(inbox.pending() == 0, "service drained its inbox");
+    KD_ENSURES_MSG(std::all_of(sessions.begin(), sessions.end(),
+                               [](const session& s) {
+                                   return s.in_flight() == 0;
+                               }),
+                   "every request got its response");
     result.probe_messages = dispatcher.probe_messages();
     result.balls_held = dispatcher.balls_held();
     result.final_loads = dispatcher.loads();

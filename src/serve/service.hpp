@@ -1,17 +1,21 @@
-// The allocation service: sessions, channels and the dispatcher wired onto
-// the discrete-event simulator — plus the serial oracle the whole serve
-// layer is checked against.
+// The allocation service: sessions, a channel and the dispatcher driven by
+// one straight-line scan of the request deliveries — plus the serial
+// oracle the whole serve layer is checked against.
 //
 // run_service drives an open-loop Poisson workload (serve/session.hpp)
 // through a memory_channel into the dispatcher and measures what the paper
 // cares about — probe messages per placed ball — alongside what an
 // operator cares about: allocate latency quantiles (p50/p99/p999) under a
-// sweepable load. Timing model, all in simulated time:
+// sweepable load. Timing model, all in simulated time — a single batching
+// server, one batch at a time (docs/service.md, "Timing model"):
 //
 //   client --(channel_delay)--> dispatcher inbox
-//   dispatcher: waits batch_window after first pending request (or until
-//     it is free again), drains up to max_batch requests, processes them,
-//     and is busy for service_time * batch size;
+//   dispatcher: a batch is triggered by the first delivery into an empty
+//     inbox or by the previous batch leaving requests behind (then at that
+//     batch's start); it starts batch_window after the trigger but never
+//     while the dispatcher is busy, takes up to max_batch of the requests
+//     delivered by then, and keeps the dispatcher busy for
+//     service_time * batch size;
 //   dispatcher --(channel_delay)--> client, latency = response - arrival.
 //
 // service_time is charged per request whatever its probe count, so the
@@ -31,7 +35,6 @@
 
 #include "core/types.hpp"
 #include "serve/message.hpp"
-#include "sim/event_queue.hpp"
 
 namespace kdc::serve {
 
@@ -62,12 +65,12 @@ struct service_result {
     /// (releases cost no probes) — the paper's message-cost axis.
     double messages_per_request = 0.0;
     double messages_per_ball = 0.0;  ///< messages_per_request / k
-    double latency_mean = 0.0;       ///< allocate+release, simulated time
+    double latency_mean = 0.0;       ///< allocates only, simulated time
     double latency_p50 = 0.0;
     double latency_p99 = 0.0;
     double latency_p999 = 0.0;
     double latency_max = 0.0;
-    sim::sim_time completed_at = 0.0; ///< last response delivery time
+    double completed_at = 0.0;        ///< last response delivery time
     std::uint64_t balls_held = 0;     ///< k*allocations - released balls
     std::uint64_t max_load = 0;       ///< highest final bin load
     /// One line per request in id order: "<id> a <bin> <bin> ..." or
@@ -77,8 +80,8 @@ struct service_result {
     core::load_vector final_loads;
 };
 
-/// Runs the full event-driven service. Latency fields are 0 when the
-/// config yields no requests (requires requests >= 1, clients >= 1).
+/// Runs the full service. Latency fields are 0 when the config yields no
+/// allocate (requires requests >= 1, clients >= 1).
 [[nodiscard]] service_result run_service(const service_config& config);
 
 /// The oracle: same request sequence, served one request at a time at zero

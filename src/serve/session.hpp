@@ -3,7 +3,7 @@
 //
 // Arrivals are OPEN-LOOP Poisson: each client draws its whole arrival
 // schedule (times, allocate/release decisions, release targets) from its
-// own seeded stream BEFORE the simulation starts, so the request sequence
+// own seeded stream BEFORE the service runs, so the request sequence
 // is a pure function of (seed, clients, rate, churn) — never of service
 // timing, batching or thread count. That is the client half of the
 // determinism contract (docs/service.md): the server half is the
@@ -25,7 +25,6 @@
 #include "rng/uniform.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "serve/message.hpp"
-#include "sim/event_queue.hpp"
 #include "support/contracts.hpp"
 
 namespace kdc::serve {
@@ -44,7 +43,7 @@ struct session_config {
 /// being freed. Global request ids are assigned later, in merged arrival
 /// order across all clients (serve/service.cpp).
 struct client_arrival {
-    sim::sim_time at = 0.0;
+    double at = 0.0;
     std::uint64_t client = 0;
     std::uint64_t seq = 0;
     request_kind kind = request_kind::allocate;
@@ -65,7 +64,7 @@ draw_arrivals(const session_config& config) {
     std::vector<client_arrival> schedule;
     schedule.reserve(config.arrivals);
     std::vector<std::uint64_t> outstanding; // seqs of unreleased allocates
-    sim::sim_time at = 0.0;
+    double at = 0.0;
     for (std::uint64_t seq = 0; seq < config.arrivals; ++seq) {
         at += rng::exponential(gen, 1.0 / config.rate);
         client_arrival arrival;
@@ -89,30 +88,26 @@ draw_arrivals(const session_config& config) {
     return schedule;
 }
 
-/// The aggregation half: records when each request left the client and
-/// turns the matching response into a latency sample. One session per
-/// client; the service owns the map from response.client to session.
+/// The bookkeeping half: records when each request left the client and
+/// matches each response to it. One session per client; the service owns
+/// the map from response.client to session and checks that every session
+/// ends with nothing in flight.
 class session {
 public:
     /// Records that request `id` left the client at `at`.
-    void on_send(std::uint64_t id, sim::sim_time at) {
+    void on_send(std::uint64_t id, double at) {
         const bool inserted = sent_.emplace(id, at).second;
         KD_EXPECTS_MSG(inserted, "duplicate request id sent");
     }
 
-    /// Consumes the response to a previously sent request, recording
-    /// `at - send time` as the request's latency.
-    void on_response(const response& resp, sim::sim_time at) {
+    /// Consumes the response to a previously sent request, delivered at
+    /// `at` (no earlier than the send).
+    void on_response(const response& resp, double at) {
         const auto it = sent_.find(resp.id);
         KD_EXPECTS_MSG(it != sent_.end(),
                        "response to a request this session never sent");
-        latencies_.push_back(at - it->second);
+        KD_EXPECTS(at >= it->second);
         sent_.erase(it);
-    }
-
-    /// Latency samples in response-arrival order.
-    [[nodiscard]] const std::vector<double>& latencies() const noexcept {
-        return latencies_;
     }
 
     /// Requests sent but not yet answered.
@@ -121,8 +116,7 @@ public:
     }
 
 private:
-    std::unordered_map<std::uint64_t, sim::sim_time> sent_;
-    std::vector<double> latencies_;
+    std::unordered_map<std::uint64_t, double> sent_;
 };
 
 } // namespace kdc::serve

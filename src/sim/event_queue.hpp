@@ -1,6 +1,6 @@
 // Discrete-event simulation substrate: a time-ordered event queue with
-// deterministic FIFO tie-breaking. Both application models of the paper's
-// Section 1.3 (cluster scheduling, distributed storage) run on top of this.
+// deterministic FIFO tie-breaking. The cluster-scheduling model of the
+// paper's Section 1.3 (sched/) runs on top of this.
 #pragma once
 
 #include <cstdint>

@@ -81,15 +81,5 @@ TEST(MemoryChannel, CarriesRequestMessages) {
     EXPECT_EQ(out.target, 17u);
 }
 
-TEST(MemoryChannel, UsableThroughTheAbstractInterface) {
-    memory_channel<int> impl;
-    channel<int>& chan = impl;
-    chan.send(5);
-    EXPECT_EQ(chan.pending(), 1u);
-    int out = 0;
-    ASSERT_TRUE(chan.try_receive(out));
-    EXPECT_EQ(out, 5);
-}
-
 } // namespace
 } // namespace kdc::serve

@@ -140,9 +140,9 @@ void kd_choice_level_process::run_round() {
         }
     }
 
-    // Multiplicity rule as slot selection, exactly as place_round: the m
-    // occurrences of a bin at level l own slots of heights l+1..l+m; keep
-    // the k smallest (height, tie_key). Random tie keys are drawn ONLY in
+    // Multiplicity rule as slot selection, the same rule as place_round:
+    // the m occurrences of a bin at level l own slots of heights l+1..l+m;
+    // keep the k smallest (height, tie_key). Random tie keys are drawn ONLY in
     // rounds with a duplicated probe: without duplicates every slot at a
     // height sits on a bin at the same level, and bins at a level are
     // exchangeable, so any deterministic tie-break (here: probe order)

@@ -145,8 +145,8 @@ private:
     /// (the height range is the load span plus d — a handful of buckets):
     /// every slot strictly below the threshold height is kept outright and
     /// only the few slots AT the threshold compare tie keys, which keeps
-    /// the identical slot set as the nth_element formulation (tie keys are
-    /// unique w.p. 1) at a fraction of the branches.
+    /// the identical slot set as a full (height, tie_key) sort (tie keys
+    /// are unique w.p. 1) at a fraction of the branches.
     void count_kept();
 
     /// The dense-mirror fast path behind run_balls (see its comment).

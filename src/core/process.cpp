@@ -19,10 +19,6 @@ kd_choice_process::kd_choice_process(load_vector initial_loads,
     KD_EXPECTS_MSG(k < d, "(k,d)-choice requires k < d");
     KD_EXPECTS_MSG(d <= loads_.size(), "cannot probe more bins than exist");
     sample_buffer_.resize(d);
-    // One up-front reserve per experiment: place_round's slot and
-    // sorted-sample buffers never grow (at most d entries per round).
-    scratch_.slots.reserve(d);
-    scratch_.sorted_samples.reserve(d);
 }
 
 void kd_choice_process::run_round() {
@@ -56,12 +52,19 @@ void kd_choice_process::run_balls(std::uint64_t balls) {
         // replaces the reallocation churn of the figure benches' long runs.
         height_log_.reserve(height_log_.size() + balls);
     }
-    // The probe-mode branch and the sample span are loop-invariant: test the
-    // mode once and run a tight per-round loop instead of re-deciding (and
-    // rebuilding the span) every round as run_round() must.
+    // The probe-mode branch, the sample span, k and the height log are
+    // loop-invariant: test the mode once and run a tight per-round loop
+    // instead of re-deciding (and reloading members) every round as
+    // run_round() must. The generator runs on a local copy so its state can
+    // stay in registers across the kernel's stores instead of round-tripping
+    // through the object every draw.
     const std::uint64_t rounds = balls / k_;
+    const std::size_t k = k_;
     const std::uint64_t n = loads_.size();
     const std::span<std::uint32_t> samples(sample_buffer_);
+    std::vector<placed_ball>* const log =
+        record_heights_ ? &height_log_ : nullptr;
+    rng::xoshiro256ss gen = gen_;
     if (probe_mode_ == probe_mode::with_replacement) {
         // The probe step goes through the batched Lemire sampler: the bound
         // is n for the whole experiment, so every probe is a
@@ -69,17 +72,20 @@ void kd_choice_process::run_balls(std::uint64_t balls) {
         // generator call (rng/sampling.hpp, batched_uniform).
         for (std::uint64_t round = 0; round < rounds; ++round) {
             for (auto& slot : samples) {
-                slot = static_cast<std::uint32_t>(probe_draws_.next(gen_));
+                slot = static_cast<std::uint32_t>(probe_draws_.next(gen));
             }
-            run_round_with_samples(samples);
+            place_round(loads_, samples, k, gen, scratch_, log);
         }
     } else {
         for (std::uint64_t round = 0; round < rounds; ++round) {
-            rng::sample_without_replacement(gen_, n, sample_scratch_,
-                                            samples);
-            run_round_with_samples(samples);
+            rng::sample_without_replacement(gen, n, sample_scratch_, samples);
+            place_round(loads_, samples, k, gen, scratch_, log);
         }
     }
+    gen_ = gen;
+    balls_placed_ += rounds * k_;
+    rounds_run_ += rounds;
+    messages_ += rounds * d_;
 }
 
 single_choice_process::single_choice_process(std::uint64_t n,

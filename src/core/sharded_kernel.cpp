@@ -877,10 +877,8 @@ void sharded_kd_process::commit_candidates(std::uint64_t round,
                                            std::uint32_t* const* vals,
                                            bool with_vals) {
     // Keep the k smallest packed candidates. The packed order is (height,
-    // tie key, probe index); the serial kernel's nth_element orders by
-    // (height, tie key) only, so the kept SET agrees whenever no two
-    // probes of the round tie on both — see the file comment for the
-    // d^2/2^64 caveat. k = 1 (the common benchmark shape) is a plain min
+    // tie key, probe index), the serial kernel's order exactly, so the kept
+    // SET agrees with it even on exact (height, tie key) ties. k = 1 (the common benchmark shape) is a plain min
     // scan; small d uses an insertion sort (branch-predictable, no
     // libstdc++ dispatch); large d falls back to nth_element, now on
     // trivially comparable 128-bit words.

@@ -76,12 +76,11 @@
 // kd_choice_process::loads() bit for bit, regardless of the shard count,
 // segment count or how many pool workers execute the phases.
 //
-// The one caveat: the packed selection breaks exact (height, tie-key)
-// ties by probe index, where the serial kernel's nth_element breaks them
-// by its internal pivot walk. The two pick different slot SETS only when
-// two probes of one round draw the same 64-bit tie key AND the tie
-// straddles the k-boundary — probability < d^2 * 2^-64 per round, zero in
-// any feasible run length.
+// Exact (height, tie-key) ties are broken by probe index — the round's
+// slot number, in the same slot order the serial kernel numbers its slots
+// — and the serial kernel breaks them the same way (core/round_kernel.hpp),
+// so the two keep the same slot set even when two probes of one round draw
+// the same 64-bit tie key.
 //
 // There is no level-kernel counterpart: every level round draws its probes
 // through the Fenwick ranks of the exact current profile, so the rounds

@@ -112,13 +112,12 @@ std::vector<std::uint32_t> cluster_scheduler::choose_workers(std::size_t k) {
         rng::sample_with_replacement(
             gen_, w, std::span<std::uint32_t>(probe_buffer_));
         probe_messages_ += config_.probes;
-        std::vector<core::placed_ball> placed;
-        core::round_scratch scratch;
-        core::place_round(queue_lengths_, probe_buffer_, k, gen_, scratch,
-                          &placed);
+        placed_.clear();
+        core::place_round(queue_lengths_, probe_buffer_, k, gen_,
+                          round_scratch_, &placed_);
         // Undo the kernel's increments: assign_task re-applies them so the
         // accounting below stays uniform across strategies.
-        for (const auto& ball : placed) {
+        for (const auto& ball : placed_) {
             queue_lengths_[ball.bin] -= 1;
             chosen.push_back(ball.bin);
         }

@@ -17,6 +17,7 @@
 #include <deque>
 #include <vector>
 
+#include "core/round_kernel.hpp"
 #include "core/types.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "sim/event_queue.hpp"
@@ -135,6 +136,10 @@ private:
     std::uint64_t tasks_completed_ = 0;
     std::uint64_t max_queue_seen_ = 0;
     std::vector<std::uint32_t> probe_buffer_;
+    // Reused across batch_kd_choice jobs: the scratch's stamp array has one
+    // entry per worker, so a fresh one per job would zero-fill it each time.
+    core::round_scratch round_scratch_;
+    std::vector<core::placed_ball> placed_;
     rng::xoshiro256ss gen_;
 
     friend scheduler_result simulate(const scheduler_config& config);

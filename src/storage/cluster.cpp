@@ -46,12 +46,11 @@ void storage_cluster::place_kd_choice(file_placement& out) {
     placement_messages_ += config_.probes;
     out.candidates = probe_buffer_;
 
-    std::vector<core::placed_ball> placed;
-    core::round_scratch scratch;
+    placed_.clear();
     core::place_round(loads_, probe_buffer_, config_.replicas_per_file, gen_,
-                      scratch, &placed);
-    out.replicas.reserve(placed.size());
-    for (const auto& ball : placed) {
+                      round_scratch_, &placed_);
+    out.replicas.reserve(placed_.size());
+    for (const auto& ball : placed_) {
         out.replicas.push_back(ball.bin);
     }
 }

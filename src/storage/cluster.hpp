@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/round_kernel.hpp"
 #include "core/types.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "support/contracts.hpp"
@@ -114,6 +115,10 @@ private:
     std::vector<file_placement> placements_;
     std::uint64_t placement_messages_ = 0;
     std::vector<std::uint32_t> probe_buffer_;
+    // Reused across kd_choice placements: the scratch's stamp array has one
+    // entry per server, so a fresh one per file would zero-fill it each time.
+    core::round_scratch round_scratch_;
+    std::vector<core::placed_ball> placed_;
     rng::xoshiro256ss gen_;
 };
 

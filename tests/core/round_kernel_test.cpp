@@ -23,6 +23,32 @@ std::uint64_t total(const load_vector& loads) {
     return std::accumulate(loads.begin(), loads.end(), std::uint64_t{0});
 }
 
+/// Returns the same word on every call, so every slot of a round draws an
+/// equal tie key; counts its calls.
+struct constant_generator {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() {
+        ++calls;
+        return 0x5555555555555555ULL;
+    }
+    std::uint64_t calls = 0;
+};
+
+/// Runs one round from `loads` with equal tie keys and returns the placed
+/// balls; also checks the kernel drew exactly one key per slot.
+std::vector<placed_ball> equal_key_round(load_vector loads,
+                                         const std::vector<std::uint32_t>& samples,
+                                         std::size_t k) {
+    constant_generator gen;
+    round_scratch scratch;
+    std::vector<placed_ball> placed;
+    place_round(loads, samples, k, gen, scratch, &placed);
+    EXPECT_EQ(gen.calls, samples.size());
+    return placed;
+}
+
 TEST(RoundKernel, PlacesExactlyKBalls) {
     load_vector loads(10, 0);
     xoshiro256ss gen(1);
@@ -164,6 +190,40 @@ TEST(RoundKernel, KEqualsDTakesEverySlot) {
     const std::vector<std::uint32_t> samples{0, 1, 2};
     place_round(loads, samples, 3, gen, scratch);
     EXPECT_EQ(loads, (load_vector{1, 1, 1}));
+}
+
+TEST(RoundKernel, EqualTieKeysKeepTheFirstSlotsInSampleOrder) {
+    // Distinct samples on equal loads: every slot has height 1 and the same
+    // key, so the kept slots are the first k samples, in sample order.
+    const std::vector<std::uint32_t> samples{7, 2, 9, 0, 5, 3};
+    for (std::size_t k = 1; k <= samples.size(); ++k) {
+        const auto placed = equal_key_round(load_vector(10, 0), samples, k);
+        ASSERT_EQ(placed.size(), k);
+        for (std::size_t i = 0; i < k; ++i) {
+            EXPECT_EQ(placed[i], (placed_ball{samples[i], 1})) << "k=" << k;
+        }
+    }
+    // Unequal loads: height first, then sample order within a height.
+    const std::vector<std::uint32_t> probes{0, 1, 2, 3};
+    EXPECT_EQ(equal_key_round(load_vector{1, 0, 1, 0}, probes, 3),
+              (std::vector<placed_ball>{{1, 1}, {3, 1}, {0, 2}}));
+}
+
+TEST(RoundKernel, EqualTieKeysKeepTheFirstSlotsInSortedGroupOrder) {
+    // With a duplicate, slots are numbered in sorted-group order (bins
+    // ascending, a bin's occurrences consecutive): samples {7,2,7,4,2,9} on
+    // equal loads give slots (2,h1) (2,h2) (4,h1) (7,h1) (7,h2) (9,h1).
+    // The height-1 slots come first, in slot order, then the height-2 ones.
+    const std::vector<std::uint32_t> samples{7, 2, 7, 4, 2, 9};
+    const std::vector<placed_ball> order{{2, 1}, {4, 1}, {7, 1},
+                                         {9, 1}, {2, 2}, {7, 2}};
+    for (std::size_t k = 1; k <= samples.size(); ++k) {
+        const auto placed = equal_key_round(load_vector(10, 0), samples, k);
+        EXPECT_EQ(placed, std::vector<placed_ball>(
+                              order.begin(),
+                              order.begin() + static_cast<std::ptrdiff_t>(k)))
+            << "k=" << k;
+    }
 }
 
 TEST(RoundKernel, ContractViolations) {

@@ -100,12 +100,12 @@ void expect_identical_rounds(const reference_case& c, std::uint64_t seed,
                              int rounds) {
     SCOPED_TRACE(testing::Message() << "n=" << c.n << " d=" << c.d
                                     << " seed=" << seed);
-    rng::xoshiro256ss driver(seed);
+    rng::xoshiro256ss inputs(seed);
     // Small initial loads make equal slot heights common, so selection
     // leans on tie keys and occurrence indices, not just on heights.
     load_vector loads(c.n);
     for (auto& load : loads) {
-        load = static_cast<bin_load>(rng::uniform_below(driver, 4));
+        load = static_cast<bin_load>(rng::uniform_below(inputs, 4));
     }
     load_vector expected_loads = loads;
 
@@ -121,7 +121,7 @@ void expect_identical_rounds(const reference_case& c, std::uint64_t seed,
     for (int round = 0; round < rounds; ++round) {
         for (auto& sample : samples) {
             sample = static_cast<std::uint32_t>(
-                rng::uniform_below(driver, c.n));
+                rng::uniform_below(inputs, c.n));
         }
         std::vector<std::uint32_t> distinct = samples;
         std::sort(distinct.begin(), distinct.end());
@@ -130,7 +130,7 @@ void expect_identical_rounds(const reference_case& c, std::uint64_t seed,
             ++duplicate_rounds;
         }
         const auto k =
-            static_cast<std::size_t>(1 + rng::uniform_below(driver, c.d));
+            static_cast<std::size_t>(1 + rng::uniform_below(inputs, c.d));
         const bool log = round % 2 == 0;
         placed.clear();
         expected_placed.clear();

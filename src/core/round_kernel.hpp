@@ -85,9 +85,14 @@ inline void radix_sort(std::vector<std::uint32_t>& values,
     }
 }
 
-/// Keeps the k smallest slots offered in a sorted prefix of `kept`: the
-/// first k are inserted in order, after which one comparison against the
-/// k-th rejects most slots.
+} // namespace detail
+
+/// Keeps the k smallest slots offered in a sorted prefix of `kept` (room
+/// for k slots): the first k are inserted in order, after which one
+/// comparison against the k-th rejects most slots. After at least k offers,
+/// kept[0, k) holds the k smallest by (height, tie_key, slot), ascending.
+/// place_round and the service's dispatcher (serve/dispatcher.cpp) select
+/// with it.
 class top_k {
 public:
     top_k(packed_slot* kept, std::size_t k) : kept_(kept), k_(k) {}
@@ -116,8 +121,6 @@ private:
     std::size_t k_;
     std::size_t held_ = 0;
 };
-
-} // namespace detail
 
 /// Places `k` balls into `loads` for one round whose probe step sampled the
 /// bins in `samples` (a multiset: duplicates are meaningful). Appends the
@@ -166,7 +169,7 @@ void place_round(load_vector& loads, std::span<const std::uint32_t> samples,
     if (scratch.kept.size() < k) {
         scratch.kept.resize(k);
     }
-    detail::top_k select(scratch.kept.data(), k);
+    top_k select(scratch.kept.data(), k);
     const bin_load* const load = loads.data();
     std::span<const std::uint32_t> slot_bins = samples;
     if (!has_duplicates) {

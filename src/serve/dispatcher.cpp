@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
-#include <utility>
+#include <tuple>
 
 #include "core/fault_injection.hpp"
 #include "rng/sampling.hpp"
@@ -34,7 +34,7 @@ void draw_pool(rng::xoshiro256ss& gen, std::uint64_t bins,
 dispatcher::dispatcher(const dispatcher_config& config,
                        core::thread_pool* /*pool*/)
     : config_(config), loads_(config.bins, 0), probes_(config.d),
-      keys_(config.d), candidates_(config.d) {
+      keys_(config.d), kept_(config.k) {
     KD_EXPECTS_MSG(config.bins >= 1 && config.k >= 1 && config.d >= 1,
                    "dispatcher needs bins, k, d >= 1");
     KD_EXPECTS_MSG(config.mode != probing::batch || config.k <= config.d,
@@ -75,6 +75,15 @@ dispatcher::process(const std::vector<request>& batch) {
 }
 
 response dispatcher::allocate(const request& req) {
+    KD_EXPECTS_MSG(req.id >= state_.size() ||
+                       state_[req.id] == id_state::never,
+                   "allocate of an id that was already allocated");
+    if (req.id >= state_.size()) {
+        const std::uint64_t ids = std::max<std::uint64_t>(
+            req.id + 1, 2 * state_.size());
+        state_.resize(ids, id_state::never);
+        bins_.resize(ids * config_.k);
+    }
     response resp;
     resp.client = req.client;
     resp.id = req.id;
@@ -85,17 +94,17 @@ response dispatcher::allocate(const request& req) {
         // index (a bin sampled m times may take up to m balls), keep the k
         // smallest by (height, key, probe index).
         draw_pool(gen, config_.bins, probes_, keys_);
-        for (std::uint64_t j = 0; j < config_.d; ++j) {
-            std::uint64_t occ = 0;
-            for (std::uint64_t e = 0; e < j; ++e) {
+        core::top_k select(kept_.data(), config_.k);
+        for (std::uint32_t j = 0; j < config_.d; ++j) {
+            core::bin_load occ = 0;
+            for (std::uint32_t e = 0; e < j; ++e) {
                 occ += probes_[e] == probes_[j] ? 1 : 0;
             }
-            candidates_[j] = {loads_[probes_[j]] + occ, keys_[j],
-                              static_cast<std::uint32_t>(j)};
+            select.offer(loads_[probes_[j]] + occ, keys_[j], j);
         }
-        std::sort(candidates_.begin(), candidates_.end());
         for (std::uint64_t j = 0; j < config_.k; ++j) {
-            const std::uint32_t bin = probes_[std::get<2>(candidates_[j])];
+            const std::uint32_t bin =
+                probes_[static_cast<std::uint32_t>(kept_[j])];
             resp.bins.push_back(bin);
             loads_[bin] += 1;
         }
@@ -119,19 +128,25 @@ response dispatcher::allocate(const request& req) {
         resp.probe_messages = config_.k * config_.d;
     }
     probe_messages_ += resp.probe_messages;
-    live_.emplace(req.id, resp.bins);
+    state_[req.id] = id_state::live;
+    std::copy(resp.bins.begin(), resp.bins.end(),
+              bins_.begin() + static_cast<std::ptrdiff_t>(req.id * config_.k));
+    live_count_ += 1;
     return resp;
 }
 
 response dispatcher::release(const request& req) {
-    const auto it = live_.find(req.target);
-    KD_EXPECTS_MSG(it != live_.end(),
+    KD_EXPECTS_MSG(req.target < state_.size() &&
+                       state_[req.target] == id_state::live,
                    "release targets a non-live allocation");
     response resp;
     resp.client = req.client;
     resp.id = req.id;
-    resp.bins = std::move(it->second);
-    live_.erase(it);
+    const auto first =
+        bins_.begin() + static_cast<std::ptrdiff_t>(req.target * config_.k);
+    resp.bins.assign(first, first + static_cast<std::ptrdiff_t>(config_.k));
+    state_[req.target] = id_state::released;
+    live_count_ -= 1;
     for (const std::uint32_t bin : resp.bins) {
         KD_EXPECTS_MSG(loads_[bin] > 0, "release of an empty bin");
         loads_[bin] -= 1;

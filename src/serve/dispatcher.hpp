@@ -11,21 +11,30 @@
 // at-a-time server would, so the chosen bins equal the serial oracle's
 // (serve/service.hpp) for every batching.
 //
+// Batch-mode selection keeps the k smallest candidates by (height, key,
+// probe index) in one pass (core::top_k, core/round_kernel.hpp).
+//
 // Releases are resolved SERVER-side: a release names the id of an earlier
-// allocate, and the dispatcher keeps an id -> bins map of live allocations
-// (erased on release). Clients never echo bins back, so a request's content
-// cannot depend on an in-flight response — one of the two properties (with
-// per-request tapes) that make the oracle comparison byte-exact.
+// allocate, and the dispatcher looks the bins up in its live table. Clients
+// never echo bins back, so a request's content cannot depend on an
+// in-flight response — one of the two properties (with per-request tapes)
+// that make the oracle comparison byte-exact.
+//
+// The live table is dense and indexed by request id: k bins per id and a
+// state byte (never allocated / live / released), grown geometrically to
+// cover the highest allocate id. Its memory is O(highest id * k) — the
+// same order as run_service's own per-request arrays — and every check
+// (a release of a non-live or future id, a second allocate of one id) is
+// O(1). An id is allocated at most once, and released at most once.
 //
 // Fault sites (docs/robustness.md): serve.accept fires when a non-empty
 // batch is drained from the channel, serve.batch before a batch is served.
 #pragma once
 
 #include <cstdint>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
+#include "core/round_kernel.hpp"
 #include "core/types.hpp"
 #include "serve/channel.hpp"
 #include "serve/message.hpp"
@@ -71,9 +80,15 @@ public:
         return loads_;
     }
 
-    /// Allocations not yet released (id -> bins).
+    /// Allocations not yet released.
     [[nodiscard]] std::uint64_t live_allocations() const noexcept {
-        return live_.size();
+        return live_count_;
+    }
+
+    /// Ids the live table covers: above the highest allocate id, below
+    /// twice that plus one.
+    [[nodiscard]] std::uint64_t table_ids() const noexcept {
+        return state_.size();
     }
 
     /// Probe messages the service has spent so far: d per batch-mode
@@ -88,16 +103,20 @@ private:
     [[nodiscard]] response allocate(const request& req);
     [[nodiscard]] response release(const request& req);
 
+    enum class id_state : std::uint8_t { never, live, released };
+
     dispatcher_config config_;
     core::load_vector loads_;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> live_;
+    // The live table: state_[id], and bins_[id * k, id * k + k) while live.
+    std::vector<id_state> state_;
+    std::vector<std::uint32_t> bins_;
+    std::uint64_t live_count_ = 0;
     std::uint64_t probe_messages_ = 0;
     // Per-request scratch, reused across requests: one pool's probes and
-    // tie keys, and batch mode's (height, key, probe index) candidates.
+    // tie keys, and batch mode's kept candidates.
     std::vector<std::uint32_t> probes_;
     std::vector<std::uint64_t> keys_;
-    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>>
-        candidates_;
+    std::vector<core::packed_slot> kept_;
 };
 
 } // namespace kdc::serve

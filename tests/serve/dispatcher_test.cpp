@@ -1,5 +1,6 @@
 // Dispatcher invariants that hold batch by batch: batching invariance,
-// release bookkeeping, message accounting, and the id-order precondition.
+// release bookkeeping, message accounting, the id-order precondition, and
+// the dense live table's growth and id checks.
 #include "serve/dispatcher.hpp"
 
 #include <gtest/gtest.h>
@@ -164,6 +165,114 @@ TEST(Dispatcher, RejectsReleaseOfANonLiveId) {
     (void)dispatch.process({release});
     release.id = 2; // the same allocation a second time
     EXPECT_THROW((void)dispatch.process({release}), contract_violation);
+}
+
+TEST(Dispatcher, RejectsASecondAllocateOfTheSameId) {
+    dispatcher_config config;
+    config.bins = 16;
+    config.k = 3;
+    config.d = 6;
+    config.seed = 7;
+    dispatcher dispatch(config);
+    (void)dispatch.process(allocates(1, 0));
+    const core::load_vector loads = dispatch.loads();
+    EXPECT_THROW((void)dispatch.process(allocates(1, 0)), contract_violation);
+    EXPECT_EQ(dispatch.loads(), loads);
+    EXPECT_EQ(dispatch.balls_held(), 3u);
+    EXPECT_EQ(dispatch.live_allocations(), 1u);
+    EXPECT_EQ(dispatch.probe_messages(), 6u);
+
+    // Once released, the id stays spent.
+    request release;
+    release.kind = request_kind::release;
+    release.id = 1;
+    release.target = 0;
+    (void)dispatch.process({release});
+    EXPECT_THROW((void)dispatch.process(allocates(1, 0)), contract_violation);
+    EXPECT_EQ(dispatch.balls_held(), 0u);
+    EXPECT_EQ(dispatch.live_allocations(), 0u);
+}
+
+TEST(Dispatcher, ReleaseFarBeyondEveryAllocateDoesNotGrowTheTable) {
+    dispatcher_config config;
+    config.bins = 8;
+    dispatcher dispatch(config);
+    (void)dispatch.process(allocates(3, 0));
+    const std::uint64_t ids = dispatch.table_ids();
+    EXPECT_GE(ids, 3u);
+    request release;
+    release.kind = request_kind::release;
+    release.id = 3;
+    release.target = std::uint64_t{1} << 40;
+    EXPECT_THROW((void)dispatch.process({release}), contract_violation);
+    EXPECT_EQ(dispatch.table_ids(), ids);
+    EXPECT_EQ(dispatch.live_allocations(), 3u);
+}
+
+TEST(Dispatcher, ReleaseEchoesBinsAllocatedBeforeTheTableGrew) {
+    dispatcher_config config;
+    config.bins = 64;
+    config.k = 4;
+    config.d = 8;
+    config.seed = 31;
+    dispatcher dispatch(config);
+    const auto early = dispatch.process(allocates(3, 0));
+    // Each allocate lands far past the table's end, forcing a growth step.
+    std::uint64_t steps = 0;
+    for (std::uint64_t id = 10; id < 100000; id *= 7) {
+        const std::uint64_t before = dispatch.table_ids();
+        (void)dispatch.process(allocates(1, id));
+        steps += dispatch.table_ids() > before ? 1 : 0;
+    }
+    EXPECT_GE(steps, 5u);
+    std::vector<request> releases;
+    for (std::uint64_t i = 0; i < early.size(); ++i) {
+        request release;
+        release.kind = request_kind::release;
+        release.id = 200000 + i;
+        release.target = i;
+        releases.push_back(release);
+    }
+    const auto freed = dispatch.process(releases);
+    ASSERT_EQ(freed.size(), early.size());
+    for (std::size_t i = 0; i < early.size(); ++i) {
+        EXPECT_EQ(freed[i].bins, early[i].bins);
+    }
+}
+
+TEST(Dispatcher, LiveAllocationsCountAllocatesMinusReleases) {
+    dispatcher_config config;
+    config.bins = 128;
+    config.k = 2;
+    config.d = 5;
+    config.seed = 43;
+    dispatcher dispatch(config);
+    std::vector<std::uint64_t> live; // ids allocated and not yet released
+    std::uint64_t allocated = 0;
+    std::uint64_t released = 0;
+    std::uint64_t next_id = 0;
+    for (std::uint64_t b = 0; b < 50; ++b) {
+        std::vector<request> batch;
+        for (std::uint64_t i = 0; i < 1 + b % 7; ++i) {
+            request req;
+            req.id = next_id++;
+            // Release the oldest live allocation on every third request.
+            if (req.id % 3 == 2 && !live.empty()) {
+                req.kind = request_kind::release;
+                req.target = live.front();
+                live.erase(live.begin());
+                released += 1;
+            } else {
+                live.push_back(req.id);
+                allocated += 1;
+            }
+            batch.push_back(req);
+        }
+        (void)dispatch.process(batch);
+        ASSERT_EQ(dispatch.live_allocations(), allocated - released);
+        ASSERT_EQ(dispatch.balls_held(), 2 * (allocated - released));
+    }
+    EXPECT_GT(released, 0u);
 }
 
 } // namespace

@@ -17,8 +17,9 @@
 // keeps an open-loop schedule well-defined.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "rng/splitmix64.hpp"
@@ -92,22 +93,33 @@ draw_arrivals(const session_config& config) {
 /// matches each response to it. One session per client; the service owns
 /// the map from response.client to session and checks that every session
 /// ends with nothing in flight.
+///
+/// The in-flight set is a FIFO of (id, sent_at): a client sends its
+/// requests in increasing id order, and the id-order server answers them
+/// in that order, so a response always matches the oldest request in
+/// flight.
 class session {
 public:
-    /// Records that request `id` left the client at `at`.
+    /// Records that request `id` left the client at `at`. Ids must
+    /// increase from send to send, which also rules out a duplicate.
     void on_send(std::uint64_t id, double at) {
-        const bool inserted = sent_.emplace(id, at).second;
-        KD_EXPECTS_MSG(inserted, "duplicate request id sent");
+        KD_EXPECTS_MSG(id >= next_id_,
+                       "request ids must increase from send to send");
+        next_id_ = id + 1;
+        sent_.push_back({id, at});
     }
 
-    /// Consumes the response to a previously sent request, delivered at
+    /// Consumes the response to the oldest request in flight, delivered at
     /// `at` (no earlier than the send).
     void on_response(const response& resp, double at) {
-        const auto it = sent_.find(resp.id);
-        KD_EXPECTS_MSG(it != sent_.end(),
+        const bool oldest = !sent_.empty() && sent_.front().id == resp.id;
+        KD_EXPECTS_MSG(oldest || !is_in_flight(resp.id),
+                       "response out of send order");
+        KD_EXPECTS_MSG(oldest,
                        "response to a request this session never sent");
-        KD_EXPECTS(at >= it->second);
-        sent_.erase(it);
+        KD_EXPECTS_MSG(at >= sent_.front().at,
+                       "response delivered before its request was sent");
+        sent_.pop_front();
     }
 
     /// Requests sent but not yet answered.
@@ -116,7 +128,20 @@ public:
     }
 
 private:
-    std::unordered_map<std::uint64_t, double> sent_;
+    struct sent_request {
+        std::uint64_t id = 0;
+        double at = 0.0;
+    };
+
+    [[nodiscard]] bool is_in_flight(std::uint64_t id) const {
+        const auto it = std::lower_bound(
+            sent_.begin(), sent_.end(), id,
+            [](const sent_request& r, std::uint64_t v) { return r.id < v; });
+        return it != sent_.end() && it->id == id;
+    }
+
+    std::deque<sent_request> sent_; // ascending id, oldest first
+    std::uint64_t next_id_ = 0;     // lowest id the next send may use
 };
 
 } // namespace kdc::serve

@@ -1,6 +1,10 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <functional>
+#include <queue>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -34,8 +38,8 @@ request_sequence build_sequence(const service_config& config) {
     KD_EXPECTS_MSG(config.clients >= 1 && config.requests >= 1,
                    "service needs clients >= 1 and requests >= 1");
     KD_EXPECTS(config.arrival_rate > 0.0);
-    std::vector<client_arrival> merged;
-    merged.reserve(config.requests);
+    std::vector<std::vector<client_arrival>> schedules;
+    schedules.reserve(config.clients);
     const std::uint64_t base = config.requests / config.clients;
     const std::uint64_t extra = config.requests % config.clients;
     for (std::uint64_t c = 0; c < config.clients; ++c) {
@@ -45,39 +49,45 @@ request_sequence build_sequence(const service_config& config) {
         sc.rate = config.arrival_rate / static_cast<double>(config.clients);
         sc.arrivals = base + (c < extra ? 1 : 0);
         sc.churn = config.churn;
-        const auto schedule = draw_arrivals(sc);
-        merged.insert(merged.end(), schedule.begin(), schedule.end());
+        schedules.push_back(draw_arrivals(sc));
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const client_arrival& a, const client_arrival& b) {
-                  return std::tuple{a.at, a.client, a.seq} <
-                         std::tuple{b.at, b.client, b.seq};
-              });
+
+    // Each schedule is in time order, so a min-heap on (time, client) over
+    // the clients' next arrivals yields the (time, client, seq) order.
+    using head = std::pair<double, std::uint64_t>; // (at, client)
+    std::priority_queue<head, std::vector<head>, std::greater<>> heads;
+    std::vector<std::size_t> cursor(config.clients, 0);
+    // id_of[client][client seq] -> global id, filled as ids are assigned.
+    // A release's target always precedes it within one client, so the
+    // lookup below never reads an unassigned entry.
+    std::vector<std::vector<std::uint64_t>> id_of(config.clients);
+    for (std::uint64_t c = 0; c < config.clients; ++c) {
+        id_of[c].resize(schedules[c].size());
+        if (!schedules[c].empty()) {
+            heads.emplace(schedules[c].front().at, c);
+        }
+    }
 
     request_sequence seq;
-    seq.requests.reserve(merged.size());
-    seq.at.reserve(merged.size());
-    // (client, client seq) -> global id, filled as ids are assigned. A
-    // release's target always precedes it in time within one client, so
-    // the lookup below never misses.
-    std::unordered_map<std::uint64_t, std::uint64_t> id_of;
-    const auto key = [](std::uint64_t client, std::uint64_t s) {
-        return (client << 32) | s;
-    };
-    for (std::size_t id = 0; id < merged.size(); ++id) {
-        const client_arrival& arrival = merged[id];
+    seq.requests.reserve(config.requests);
+    seq.at.reserve(config.requests);
+    while (!heads.empty()) {
+        const std::uint64_t c = heads.top().second;
+        heads.pop();
+        const client_arrival& arrival = schedules[c][cursor[c]++];
+        if (cursor[c] < schedules[c].size()) {
+            heads.emplace(schedules[c][cursor[c]].at, c);
+        }
         request req;
-        req.client = arrival.client;
-        req.id = id;
+        req.client = c;
+        req.id = seq.requests.size();
         if (arrival.kind == request_kind::release) {
-            req.kind = request_kind::release;
-            const auto it = id_of.find(key(arrival.client,
-                                           arrival.target_seq));
-            KD_ASSERT_MSG(it != id_of.end(),
+            KD_ASSERT_MSG(arrival.target_seq < arrival.seq,
                           "release target precedes its allocate");
-            req.target = it->second;
+            req.kind = request_kind::release;
+            req.target = id_of[c][arrival.target_seq];
         } else {
-            id_of.emplace(key(arrival.client, arrival.seq), id);
+            id_of[c][arrival.seq] = req.id;
         }
         seq.requests.push_back(req);
         seq.at.push_back(arrival.at);
@@ -85,13 +95,21 @@ request_sequence build_sequence(const service_config& config) {
     return seq;
 }
 
+void append_number(std::string& log, std::uint64_t value) {
+    std::array<char, 20> digits{};
+    const auto end =
+        std::to_chars(digits.data(), digits.data() + digits.size(), value)
+            .ptr;
+    log.append(digits.data(), end);
+}
+
 void append_log_line(std::string& log, const response& resp,
                      request_kind kind) {
-    log += std::to_string(resp.id);
+    append_number(log, resp.id);
     log += kind == request_kind::release ? " r" : " a";
     for (const std::uint32_t bin : resp.bins) {
         log += ' ';
-        log += std::to_string(bin);
+        append_number(log, bin);
     }
     log += '\n';
 }

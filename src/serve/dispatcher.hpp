@@ -85,8 +85,8 @@ public:
         return live_count_;
     }
 
-    /// Ids the live table covers: above the highest allocate id, below
-    /// twice that plus one.
+    /// Ids the live table covers; it grows geometrically past the highest
+    /// allocate id.
     [[nodiscard]] std::uint64_t table_ids() const noexcept {
         return state_.size();
     }

@@ -702,7 +702,7 @@ BENCHMARK(bm_kd_choice)
     ->Args({192, 193});
 
 /// The same runs on the level-compressed kernel: O(max-load) state, one
-/// Fenwick walk per probe. Compare against bm_kd_choice per (k,d) pair —
+/// scan of the occupied load span per probe. Compare against bm_kd_choice per (k,d) pair —
 /// and see bm_kd_choice_big for the large-n regime where per-bin loses.
 void bm_kd_choice_level(benchmark::State& state) {
     const auto k = static_cast<std::uint64_t>(state.range(0));

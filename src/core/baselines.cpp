@@ -1,6 +1,7 @@
 #include "core/baselines.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "rng/sampling.hpp"
 #include "rng/uniform.hpp"
@@ -49,35 +50,38 @@ one_plus_beta_level_process::one_plus_beta_level_process(level_profile initial,
 }
 
 void one_plus_beta_level_process::run_balls(std::uint64_t balls) {
-    for (std::uint64_t ball = 0; ball < balls; ++ball) {
-        profile_.ensure_levels(profile_.max_level() + 2);
-        const std::uint64_t l1 =
-            profile_.level_at_rank(probe_draws_.next(gen_));
-        ++messages_;
-        if (!rng::bernoulli(gen_, beta_)) {
-            profile_.move_bin(l1, l1 + 1);
-            continue;
-        }
-        ++messages_;
-        // Second probe, with replacement: extract the first bin, then one
-        // draw v in [0, n) decides duplicate (v == 0, probability exactly
-        // 1/n) vs a fresh bin among the remaining n - 1 (rank v - 1).
-        profile_.extract_bin(l1);
-        const std::uint64_t v = probe_draws_.next(gen_);
-        if (v == 0) {
-            profile_.insert_bin(l1 + 1); // both probes hit the same bin
-        } else {
-            const std::uint64_t l2 = profile_.level_at_rank(v - 1);
-            if (l2 < l1) {
-                profile_.move_bin(l2, l2 + 1);
-                profile_.insert_bin(l1);
-            } else {
-                // l1 <= l2: the first bin wins (on a tie either bin gives
-                // the same profile transition, so no coin is needed).
-                profile_.insert_bin(l1 + 1);
-            }
-        }
+    if (balls == 0) {
+        return;
     }
+    level_state state(profile_);
+    for (std::uint64_t ball = 0; ball < balls; ++ball) {
+        state.ensure_headroom(1);
+        while (state.counts[state.base] == 0) {
+            ++state.base; // no bin ever moves below its probed level
+        }
+        const std::uint64_t l1 =
+            state.level_of_rank(probe_draws_.next(gen_));
+        ++messages_;
+        std::uint64_t winner = l1;
+        if (rng::bernoulli(gen_, beta_)) {
+            ++messages_;
+            // Second probe, with replacement: take the first bin out, then
+            // one draw v in [0, n) decides duplicate (v == 0, probability
+            // exactly 1/n) vs a fresh bin among the remaining n - 1 (rank
+            // v - 1). On l1 <= l2 the first bin wins (on a tie either bin
+            // gives the same profile transition, so no coin is needed).
+            --state.counts[l1];
+            const std::uint64_t v = probe_draws_.next(gen_);
+            if (v != 0) {
+                winner = std::min(l1, state.level_of_rank(v - 1));
+            }
+            ++state.counts[l1];
+        }
+        --state.counts[winner];
+        ++state.counts[winner + 1];
+        state.top = std::max(state.top, winner + 1);
+    }
+    profile_ = level_profile::from_counts(std::move(state.counts));
     balls_placed_ += balls;
 }
 

@@ -14,26 +14,14 @@
 
 namespace kdc::core {
 
-namespace {
-
-/// A little initial headroom so the first rounds of an empty profile don't
-/// immediately trigger a Fenwick rebuild.
-constexpr std::uint64_t initial_levels = 8;
-
-} // namespace
-
-level_profile::level_profile(std::uint64_t n)
-    : counts_(initial_levels, 0), fenwick_(initial_levels), n_(n) {
+level_profile::level_profile(std::uint64_t n) : counts_(1, n), n_(n) {
     KD_EXPECTS_MSG(n >= 1, "a profile needs at least one bin");
-    counts_[0] = n;
-    fenwick_.add(0, static_cast<std::int64_t>(n));
 }
 
 level_profile level_profile::from_loads(const load_vector& loads) {
     KD_EXPECTS_MSG(!loads.empty(), "a profile needs at least one bin");
     level_profile profile(loads.size());
-    // Rebuild the counts from scratch rather than n move_bin calls.
-    std::fill(profile.counts_.begin(), profile.counts_.end(), 0);
+    profile.counts_[0] = 0;
     for (const bin_load load : loads) {
         if (load >= profile.counts_.size()) {
             profile.counts_.resize(std::max<std::size_t>(
@@ -44,75 +32,36 @@ level_profile level_profile::from_loads(const load_vector& loads) {
         profile.total_balls_ += load;
         profile.max_level_ = std::max<std::uint64_t>(profile.max_level_, load);
     }
-    profile.fenwick_ = fenwick_tree(profile.counts_.size());
-    for (std::size_t level = 0; level < profile.counts_.size(); ++level) {
-        if (profile.counts_[level] != 0) {
-            profile.fenwick_.add(
-                level, static_cast<std::int64_t>(profile.counts_[level]));
-        }
-    }
     return profile;
 }
 
-level_profile level_profile::from_counts(
-    const std::vector<std::uint64_t>& counts) {
+level_profile level_profile::from_counts(std::vector<std::uint64_t> counts) {
     std::uint64_t n = 0;
     for (const std::uint64_t count : counts) {
         n += count;
     }
-    KD_EXPECTS_MSG(n >= 1, "a profile needs at least one bin");
     level_profile profile(n);
-    profile.ensure_levels(std::max<std::uint64_t>(counts.size(), 1));
-    std::fill(profile.counts_.begin(), profile.counts_.end(), 0);
-    profile.fenwick_ = fenwick_tree(profile.counts_.size());
-    profile.total_balls_ = 0;
-    profile.max_level_ = 0;
-    for (std::size_t level = 0; level < counts.size(); ++level) {
-        if (counts[level] == 0) {
-            continue;
+    profile.counts_ = std::move(counts);
+    for (std::size_t level = 0; level < profile.counts_.size(); ++level) {
+        if (profile.counts_[level] != 0) {
+            profile.total_balls_ += level * profile.counts_[level];
+            profile.max_level_ = level;
         }
-        profile.counts_[level] = counts[level];
-        profile.fenwick_.add(level,
-                             static_cast<std::int64_t>(counts[level]));
-        profile.total_balls_ += level * counts[level];
-        profile.max_level_ = level;
     }
     return profile;
 }
 
-void level_profile::ensure_levels(std::uint64_t level_count) {
-    if (level_count <= counts_.size()) {
-        return;
+level_state::level_state(const level_profile& profile)
+    : counts(profile.level_capacity()), top(profile.max_level()) {
+    for (std::uint64_t level = 0; level <= top; ++level) {
+        counts[level] = profile.bins_at(level);
     }
-    fenwick_.grow_to(level_count); // doubles internally, amortized O(L)
-    counts_.resize(fenwick_.size(), 0);
-}
-
-void level_profile::extract_bin(std::uint64_t level) {
-    KD_EXPECTS_MSG(level < counts_.size() && counts_[level] >= 1,
-                   "extract_bin needs a bin at that level");
-    --counts_[level];
-    fenwick_.add(level, -1);
-    total_balls_ -= level;
-    if (level == max_level_ && counts_[level] == 0) {
-        while (max_level_ > 0 && counts_[max_level_] == 0) {
-            --max_level_;
-        }
+    while (counts[base] == 0) {
+        ++base;
     }
-}
-
-void level_profile::insert_bin(std::uint64_t level) {
-    KD_EXPECTS_MSG(level < counts_.size(),
-                   "insert_bin beyond capacity: call ensure_levels first");
-    ++counts_[level];
-    fenwick_.add(level, 1);
-    total_balls_ += level;
-    max_level_ = std::max(max_level_, level);
 }
 
 load_vector level_profile::to_sorted_loads() const {
-    KD_EXPECTS_MSG(remaining_bins() == n_,
-                   "profile has extracted bins mid-round");
     load_vector loads;
     loads.reserve(n_);
     for (std::uint64_t level = max_level_ + 1; level-- > 0;) {
@@ -133,8 +82,6 @@ constexpr int snapshot_version = 2;
 } // namespace
 
 void level_profile::save(std::ostream& out) const {
-    KD_EXPECTS_MSG(remaining_bins() == n_,
-                   "cannot snapshot a profile with extracted bins mid-round");
     std::ostringstream body;
     body << snapshot_magic << ' ' << snapshot_version << '\n';
     body << n_ << ' ' << (max_level_ + 1) << '\n';
@@ -221,18 +168,14 @@ level_profile level_profile::load(std::istream& in) {
     }
     // Every count needs at least two body bytes (digit + separator), so a
     // declared level count beyond the body size cannot be honest — refuse
-    // it before ensure_levels turns it into a giant allocation.
+    // it before it turns into a giant allocation.
     if (levels > body.size()) {
         throw cli_error("level_profile snapshot: declared level count " +
                         std::to_string(levels) +
                         " exceeds what the file could hold");
     }
     level_profile profile(n);
-    profile.ensure_levels(levels);
-    std::fill(profile.counts_.begin(), profile.counts_.end(), 0);
-    profile.fenwick_ = fenwick_tree(profile.counts_.size());
-    profile.total_balls_ = 0;
-    profile.max_level_ = 0;
+    profile.counts_.assign(levels, 0);
     std::uint64_t bins = 0;
     for (std::uint64_t level = 0; level < levels; ++level) {
         std::uint64_t count = 0;
@@ -241,13 +184,13 @@ level_profile level_profile::load(std::istream& in) {
                 "level_profile snapshot: expected " + std::to_string(levels) +
                 " per-level counts, got " + std::to_string(level));
         }
-        profile.counts_[level] = count;
-        if (count != 0) {
-            profile.fenwick_.add(level, static_cast<std::int64_t>(count));
-            profile.total_balls_ += level * count;
-            profile.max_level_ = level;
-            bins += count;
+        if (count == 0) {
+            continue;
         }
+        profile.counts_[level] = count;
+        profile.total_balls_ += level * count;
+        profile.max_level_ = level;
+        bins += count;
     }
     fields >> std::ws;
     if (!fields.eof()) {
@@ -268,19 +211,13 @@ bool level_profile::operator==(const level_profile& other) const {
         total_balls_ != other.total_balls_) {
         return false;
     }
-    for (std::uint64_t level = 0; level <= max_level_; ++level) {
-        if (counts_[level] != other.counts_[level]) {
-            return false;
-        }
-    }
-    // Extraction state must agree too (a mid-round profile differs from its
-    // completed counterpart even with identical counts_).
-    return remaining_bins() == other.remaining_bins();
+    return std::equal(counts_.begin(),
+                      counts_.begin() +
+                          static_cast<std::ptrdiff_t>(max_level_ + 1),
+                      other.counts_.begin());
 }
 
 load_metrics level_profile::metrics() const {
-    KD_EXPECTS_MSG(remaining_bins() == n_,
-                   "profile has extracted bins mid-round");
     load_metrics out;
     out.max_load = max_level_;
     out.total_balls = total_balls_;

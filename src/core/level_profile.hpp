@@ -7,23 +7,24 @@
 // O(max load + 1) words of state instead of O(n): a billion-bin,
 // heavily-loaded run fits in a few kilobytes, and the per-probe operation
 // "pick a uniform random bin and tell me its load" becomes "pick level l
-// with probability c_l / n" — answered in O(log L) by a Fenwick tree over
-// levels (core/fenwick.hpp) instead of an O(1)-but-cache-missing load on a
-// multi-gigabyte array.
+// with probability c_l / n".
 //
-// The profile also supports temporary EXTRACTION of single bins. One round
-// of (k,d)-choice needs probes *without* replacement from the not-yet-probed
-// bins (core/level_process.hpp simulates the with-replacement collisions
-// explicitly); extract_bin removes one bin at a level from the sampling
-// population, and insert_bin returns it at its post-round level.
+// Two types share that view. level_profile is the value a process exposes:
+// it is built, observed, compared and snapshotted, never mutated bin by bin.
+// level_state is the one working form every level kernel runs on: the same
+// counts as a plain array plus the occupied span, where "pick level l with
+// probability c_l / n" is a short subtract-scan from the lowest occupied
+// level. A kernel builds a level_state from its profile, runs a whole
+// run_balls call on it and flushes it back through
+// level_profile::from_counts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "core/fenwick.hpp"
 #include "core/metrics.hpp"
 #include "core/types.hpp"
 #include "support/contracts.hpp"
@@ -42,71 +43,39 @@ public:
     /// The profile with the given bins-per-level counts (level = index).
     /// n is the sum of the counts; requires at least one bin.
     [[nodiscard]] static level_profile
-    from_counts(const std::vector<std::uint64_t>& counts);
+    from_counts(std::vector<std::uint64_t> counts);
 
-    /// Total bins, including any currently extracted ones.
+    /// Total bins.
     [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
 
-    /// Bins currently in the sampling population (== n() unless a round is
-    /// mid-probe with extracted bins).
-    [[nodiscard]] std::uint64_t remaining_bins() const {
-        return fenwick_.total();
-    }
-
-    /// Balls held by the non-extracted bins.
+    /// Balls held by all bins.
     [[nodiscard]] std::uint64_t total_balls() const noexcept {
         return total_balls_;
     }
 
-    /// Highest level with at least one (non-extracted) bin.
+    /// Highest level with at least one bin.
     [[nodiscard]] std::uint64_t max_level() const noexcept {
         return max_level_;
     }
 
-    /// Number of (non-extracted) bins at `level`; zero beyond capacity.
+    /// Number of bins at `level`; zero beyond capacity.
     [[nodiscard]] std::uint64_t bins_at(std::uint64_t level) const {
         return level < counts_.size() ? counts_[level] : 0;
     }
 
-    /// Addressable levels [0, level_capacity()); insert_bin targets must
-    /// stay below this. Grown amortized by ensure_levels.
+    /// Levels [0, level_capacity()) the profile stores a count for (at
+    /// least max_level() + 1); a level_state built from it starts with
+    /// this many.
     [[nodiscard]] std::uint64_t level_capacity() const noexcept {
         return counts_.size();
     }
 
-    /// Grows the level domain to at least `level_count` levels (amortized
-    /// doubling; existing counts preserved).
-    void ensure_levels(std::uint64_t level_count);
-
-    /// Removes one bin at `level` from the sampling population. Requires
-    /// bins_at(level) >= 1.
-    void extract_bin(std::uint64_t level);
-
-    /// Returns one bin to the population at `level` (< level_capacity()).
-    void insert_bin(std::uint64_t level);
-
-    /// extract_bin(from) + insert_bin(to): one bin's load changes.
-    void move_bin(std::uint64_t from, std::uint64_t to) {
-        extract_bin(from);
-        insert_bin(to);
-    }
-
-    /// The level of the bin with the given rank when the remaining bins are
-    /// laid out level by level: uniform `rank` in [0, remaining_bins())
-    /// yields a level with probability proportional to its count — the
-    /// O(log L) "sample a uniform bin, observe its load" primitive.
-    [[nodiscard]] std::uint64_t level_at_rank(std::uint64_t rank) const {
-        return fenwick_.find_kth(rank);
-    }
-
     /// The sorted (descending) load vector this profile represents — the
     /// lossless view for metrics and distribution tests. O(n) output;
-    /// intended for small-n verification, not billion-bin runs. Requires no
-    /// bin to be extracted.
+    /// intended for small-n verification, not billion-bin runs.
     [[nodiscard]] load_vector to_sorted_loads() const;
 
     /// Load metrics straight from the profile in O(L) — no per-bin pass.
-    /// Requires no bin to be extracted.
     [[nodiscard]] load_metrics metrics() const;
 
     /// Writes a small text snapshot (format v2: "kdc-level-profile 2", n
@@ -114,8 +83,7 @@ public:
     /// "crc32 <hex>" trailer over every preceding byte) — O(L) bytes even
     /// for billion-bin runs, which is what makes those runs resumable:
     /// save the profile, reload it later and hand it to a level process's
-    /// snapshot constructor. Requires no bin to be extracted. See
-    /// docs/robustness.md for the format.
+    /// snapshot constructor. See docs/robustness.md for the format.
     void save(std::ostream& out) const;
 
     /// Reconstructs a profile from a save() snapshot. The CRC trailer is
@@ -128,15 +96,51 @@ public:
     [[nodiscard]] static level_profile load(std::istream& in);
 
     /// Structural equality: same bins-per-level counts (capacity beyond the
-    /// top level is ignored). Extracted bins count as absent.
+    /// top level is ignored).
     [[nodiscard]] bool operator==(const level_profile& other) const;
 
 private:
     std::vector<std::uint64_t> counts_;
-    fenwick_tree fenwick_;
     std::uint64_t n_ = 0;
     std::uint64_t total_balls_ = 0;
     std::uint64_t max_level_ = 0;
+};
+
+/// The working state of a level kernel: the dense bins-per-level counts of
+/// a profile plus its occupied span [base, top]. Kernels mutate it with
+/// plain array arithmetic — decrement a level to take a probed bin out of
+/// the sampling population, increment a level to put it back — and flush it
+/// through level_profile::from_counts(counts) once per run_balls call.
+struct level_state {
+    std::vector<std::uint64_t> counts;
+    std::uint64_t base = 0; // no bin sits below this level
+    std::uint64_t top = 0;  // no bin sits above this level
+
+    explicit level_state(const level_profile& profile);
+
+    /// Guarantees levels [0, top + headroom] are addressable.
+    void ensure_headroom(std::uint64_t headroom) {
+        if (top + headroom >= counts.size()) {
+            counts.resize(
+                std::max<std::size_t>(counts.size() * 2, top + headroom + 1),
+                0);
+        }
+    }
+
+    /// The level of the bin with rank `r` when the bins are laid out level
+    /// by level: the smallest level whose running count exceeds r, so a
+    /// uniform r below the bin count picks a level with probability
+    /// proportional to its count. The scan starts at `base` and walks at
+    /// most the min-to-max load span, which for every process here is the
+    /// paper's gap: a handful of levels, each probe a couple of L1 loads.
+    [[nodiscard]] std::uint64_t level_of_rank(std::uint64_t r) const {
+        std::uint64_t level = base;
+        while (counts[level] <= r) {
+            r -= counts[level];
+            ++level;
+        }
+        return level;
+    }
 };
 
 /// Reads a whole CRC-trailed snapshot stream (format v2's shared envelope:

@@ -91,8 +91,8 @@ inline void radix_sort(std::vector<std::uint32_t>& values,
 /// for k slots): the first k are inserted in order, after which one
 /// comparison against the k-th rejects most slots. After at least k offers,
 /// kept[0, k) holds the k smallest by (height, tie_key, slot), ascending.
-/// place_round and the service's dispatcher (serve/dispatcher.cpp) select
-/// with it.
+/// place_round, the service's dispatcher (serve/dispatcher.cpp) and the
+/// level kernel's duplicate rounds (core/level_process.cpp) select with it.
 class top_k {
 public:
     top_k(packed_slot* kept, std::size_t k) : kept_(kept), k_(k) {}

@@ -624,8 +624,8 @@ kernel_kind resolve_kernel(const scenario& sc) {
                             "or kernel=perbin");
         }
         if (sc.par == par_mode::round) {
-            // Every level round draws its probes through the Fenwick ranks
-            // of the exact current profile: there is nothing to shard.
+            // Every level round draws its probes against the exact
+            // current profile: there is nothing to shard.
             throw cli_error(
                 "kernel=level has no round-parallel kernel (every level "
                 "round depends on the exact current profile); use "

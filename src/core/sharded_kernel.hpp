@@ -83,8 +83,8 @@
 // the same 64-bit tie key.
 //
 // There is no level-kernel counterpart: every level round draws its probes
-// through the Fenwick ranks of the exact current profile, so the rounds
-// are serial by construction and the profile has nothing to shard
+// against the exact current load profile, so the rounds are serial by
+// construction and the profile has nothing to shard
 // (kernel=level with par=round is a cli_error in the scenario grammar).
 #pragma once
 

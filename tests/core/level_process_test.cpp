@@ -27,6 +27,15 @@ using kdc::core::level_profile;
 using kdc::core::single_choice_level_process;
 using kdc::core::single_choice_process;
 
+/// Bins over levels [0, max_level]: n whenever no bin is missing.
+std::uint64_t bins_in(const level_profile& profile) {
+    std::uint64_t bins = 0;
+    for (std::uint64_t level = 0; level <= profile.max_level(); ++level) {
+        bins += profile.bins_at(level);
+    }
+    return bins;
+}
+
 TEST(KdChoiceLevelProcess, ContractChecks) {
     EXPECT_THROW(kd_choice_level_process(10, 0, 2, 1),
                  kdc::contract_violation);
@@ -48,7 +57,7 @@ TEST(KdChoiceLevelProcess, CountsBallsRoundsAndMessages) {
     EXPECT_EQ(process.k(), 3u);
     EXPECT_EQ(process.d(), 7u);
     EXPECT_EQ(process.profile().total_balls(), 30u);
-    EXPECT_EQ(process.profile().remaining_bins(), 64u);
+    EXPECT_EQ(bins_in(process.profile()), 64u);
 }
 
 TEST(KdChoiceLevelProcess, SnapshotResumeCountsOnlyNewActivity) {
@@ -71,7 +80,7 @@ TEST(KdChoiceLevelProcess, MovedProcessKeepsWorkingIndependently) {
     moved.run_balls(10);
     EXPECT_EQ(moved.balls_placed(), 20u);
     EXPECT_EQ(moved.profile().total_balls(), 20u);
-    EXPECT_EQ(moved.profile().remaining_bins(), 64u);
+    EXPECT_EQ(bins_in(moved.profile()), 64u);
 
     std::vector<kd_choice_level_process> stored;
     stored.push_back(kd_choice_level_process(16, 1, 2, 9));
@@ -240,7 +249,7 @@ TEST(SingleChoiceLevelProcess, Counts) {
     EXPECT_EQ(process.balls_placed(), 100u);
     EXPECT_EQ(process.messages(), 100u);
     EXPECT_EQ(process.profile().total_balls(), 100u);
-    EXPECT_EQ(process.profile().remaining_bins(), 32u);
+    EXPECT_EQ(bins_in(process.profile()), 32u);
 }
 
 TEST(LevelKernel, BillionBinSmoke) {
@@ -251,7 +260,7 @@ TEST(LevelKernel, BillionBinSmoke) {
     process.run_balls(2'000);
     EXPECT_EQ(process.balls_placed(), 2'000u);
     EXPECT_EQ(process.n(), n);
-    EXPECT_EQ(process.profile().remaining_bins(), n);
+    EXPECT_EQ(bins_in(process.profile()), n);
     EXPECT_EQ(process.profile().total_balls(), 2'000u);
     // 2000 balls into 1e9 bins: max load stays tiny, so state stays tiny.
     EXPECT_LE(process.profile().max_level(), 4u);

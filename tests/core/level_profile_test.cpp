@@ -18,6 +18,7 @@ namespace {
 
 using kdc::core::compute_load_metrics;
 using kdc::core::level_profile;
+using kdc::core::level_state;
 using kdc::core::load_vector;
 
 /// Appends the format-v2 CRC trailer to a hand-written snapshot body, so a
@@ -29,10 +30,18 @@ std::string with_crc(const std::string& body) {
     return body + "crc32 " + hex + "\n";
 }
 
+/// Bins over levels [0, max_level]: n whenever no bin is missing.
+std::uint64_t bins_in(const level_profile& profile) {
+    std::uint64_t bins = 0;
+    for (std::uint64_t level = 0; level <= profile.max_level(); ++level) {
+        bins += profile.bins_at(level);
+    }
+    return bins;
+}
+
 TEST(LevelProfile, FreshProfileIsAllEmptyBins) {
     level_profile profile(5);
     EXPECT_EQ(profile.n(), 5u);
-    EXPECT_EQ(profile.remaining_bins(), 5u);
     EXPECT_EQ(profile.total_balls(), 0u);
     EXPECT_EQ(profile.max_level(), 0u);
     EXPECT_EQ(profile.bins_at(0), 5u);
@@ -42,13 +51,22 @@ TEST(LevelProfile, FreshProfileIsAllEmptyBins) {
 
 TEST(LevelProfile, RequiresAtLeastOneBin) {
     EXPECT_THROW(level_profile(0), kdc::contract_violation);
+    EXPECT_THROW((void)level_profile::from_counts({0, 0}),
+                 kdc::contract_violation);
 }
 
 TEST(LevelProfile, MoveBinTracksCountsBallsAndMax) {
-    level_profile profile(3);
-    profile.move_bin(0, 1);
-    profile.move_bin(0, 1);
-    profile.move_bin(1, 2);
+    // Moving bins between levels of the working state, then flushing it.
+    level_state state(level_profile(3));
+    state.ensure_headroom(2);
+    --state.counts[0];
+    ++state.counts[1];
+    --state.counts[0];
+    ++state.counts[1];
+    --state.counts[1];
+    ++state.counts[2];
+    const auto profile = level_profile::from_counts(state.counts);
+    EXPECT_EQ(profile.n(), 3u);
     EXPECT_EQ(profile.bins_at(0), 1u);
     EXPECT_EQ(profile.bins_at(1), 1u);
     EXPECT_EQ(profile.bins_at(2), 1u);
@@ -57,69 +75,63 @@ TEST(LevelProfile, MoveBinTracksCountsBallsAndMax) {
 }
 
 TEST(LevelProfile, MaxLevelShrinksWhenTopBinLeaves) {
-    const auto profile_loads = load_vector{4, 1};
-    auto profile = level_profile::from_loads(profile_loads);
-    EXPECT_EQ(profile.max_level(), 4u);
-    profile.extract_bin(4);
+    level_state state(level_profile::from_loads({4, 1}));
+    EXPECT_EQ(state.top, 4u);
+    --state.counts[4];
+    ++state.counts[1];
+    // The flush finds the highest occupied level, not the stale top.
+    const auto profile = level_profile::from_counts(state.counts);
     EXPECT_EQ(profile.max_level(), 1u);
-    profile.insert_bin(4);
-    EXPECT_EQ(profile.max_level(), 4u);
+    EXPECT_EQ(profile.bins_at(1), 2u);
+    EXPECT_EQ(profile.total_balls(), 2u);
 }
 
 TEST(LevelProfile, ExtractInsertRoundTrip) {
-    auto profile = level_profile::from_loads({2, 2, 0});
-    profile.extract_bin(2);
-    EXPECT_EQ(profile.remaining_bins(), 2u);
-    EXPECT_EQ(profile.total_balls(), 2u);
-    profile.insert_bin(2);
-    EXPECT_EQ(profile.remaining_bins(), 3u);
-    EXPECT_EQ(profile.total_balls(), 4u);
-    EXPECT_EQ(profile.bins_at(2), 2u);
-}
-
-TEST(LevelProfile, ExtractFromEmptyLevelViolatesContract) {
-    level_profile profile(2);
-    EXPECT_THROW(profile.extract_bin(1), kdc::contract_violation);
-    EXPECT_THROW(profile.extract_bin(1u << 30), kdc::contract_violation);
-}
-
-TEST(LevelProfile, InsertBeyondCapacityViolatesContract) {
-    level_profile profile(2);
-    EXPECT_THROW(profile.insert_bin(profile.level_capacity()),
-                 kdc::contract_violation);
-    profile.ensure_levels(100);
-    EXPECT_GE(profile.level_capacity(), 100u);
-    profile.move_bin(0, 99); // now legal
-    EXPECT_EQ(profile.max_level(), 99u);
+    // A working state built from a profile and flushed back equals it,
+    // with or without a bin taken out and put back in between.
+    const auto profile = level_profile::from_loads({2, 2, 0});
+    EXPECT_TRUE(level_profile::from_counts(level_state(profile).counts) ==
+                profile);
+    level_state state(profile);
+    --state.counts[2];
+    EXPECT_EQ(state.level_of_rank(1), 2u); // one bin left at level 2
+    ++state.counts[2];
+    const auto flushed = level_profile::from_counts(state.counts);
+    EXPECT_TRUE(flushed == profile);
+    EXPECT_EQ(flushed.total_balls(), 4u);
+    EXPECT_EQ(flushed.bins_at(2), 2u);
 }
 
 TEST(LevelProfile, EnsureLevelsPreservesState) {
-    auto profile = level_profile::from_loads({3, 1, 0, 0});
-    profile.ensure_levels(500);
-    EXPECT_EQ(profile.bins_at(0), 2u);
-    EXPECT_EQ(profile.bins_at(1), 1u);
-    EXPECT_EQ(profile.bins_at(3), 1u);
-    EXPECT_EQ(profile.total_balls(), 4u);
-    EXPECT_EQ(profile.remaining_bins(), 4u);
+    const auto profile = level_profile::from_loads({3, 1, 0, 0});
+    level_state state(profile);
+    state.ensure_headroom(500);
+    EXPECT_GT(state.counts.size(), state.top + 500);
+    EXPECT_EQ(state.counts[0], 2u);
+    EXPECT_EQ(state.counts[1], 1u);
+    EXPECT_EQ(state.counts[2], 0u);
+    EXPECT_EQ(state.counts[3], 1u);
+    EXPECT_EQ(state.top, 3u);
+    EXPECT_TRUE(level_profile::from_counts(state.counts) == profile);
 }
 
 TEST(LevelProfile, LevelAtRankWalksLevelsInOrder) {
     // Loads {3,1,1,0}: one bin at level 0, two at level 1, one at level 3.
-    // Ranks are laid out level by level: 0 -> l0, 1..2 -> l1, 3 -> l3.
-    const auto profile = level_profile::from_loads({3, 1, 1, 0});
-    EXPECT_EQ(profile.level_at_rank(0), 0u);
-    EXPECT_EQ(profile.level_at_rank(1), 1u);
-    EXPECT_EQ(profile.level_at_rank(2), 1u);
-    EXPECT_EQ(profile.level_at_rank(3), 3u);
+    // Ranks are laid out level by level: 0 -> l0, 1..2 -> l1, 3 -> l3 (the
+    // empty level 2 holds no rank).
+    const level_state state(level_profile::from_loads({3, 1, 1, 0}));
+    EXPECT_EQ(state.level_of_rank(0), 0u);
+    EXPECT_EQ(state.level_of_rank(1), 1u);
+    EXPECT_EQ(state.level_of_rank(2), 1u);
+    EXPECT_EQ(state.level_of_rank(3), 3u);
 }
 
 TEST(LevelProfile, LevelAtRankSeesExtractions) {
-    auto profile = level_profile::from_loads({2, 1, 0});
-    profile.extract_bin(0);
+    level_state state(level_profile::from_loads({2, 1, 0}));
+    --state.counts[0];
     // Remaining: one bin at level 1, one at level 2.
-    ASSERT_EQ(profile.remaining_bins(), 2u);
-    EXPECT_EQ(profile.level_at_rank(0), 1u);
-    EXPECT_EQ(profile.level_at_rank(1), 2u);
+    EXPECT_EQ(state.level_of_rank(0), 1u);
+    EXPECT_EQ(state.level_of_rank(1), 2u);
 }
 
 TEST(LevelProfile, FromLoadsToSortedLoadsRoundTrips) {
@@ -152,11 +164,10 @@ TEST(LevelProfile, MetricsWithNoEmptyBins) {
 
 TEST(LevelProfile, BillionBinProfileIsTiny) {
     // The whole point: state scales with max load, not n.
-    level_profile profile(1'000'000'000ULL);
+    const auto profile = level_profile::from_counts({999'999'999ULL, 1});
     EXPECT_EQ(profile.n(), 1'000'000'000ULL);
-    profile.move_bin(0, 1);
     EXPECT_EQ(profile.bins_at(0), 999'999'999ULL);
-    EXPECT_EQ(profile.level_at_rank(999'999'999ULL), 1u);
+    EXPECT_EQ(level_state(profile).level_of_rank(999'999'999ULL), 1u);
     EXPECT_LT(profile.level_capacity(), 64u);
 }
 
@@ -175,23 +186,14 @@ TEST(LevelProfileSnapshot, SaveLoadRoundTripsExactly) {
 }
 
 TEST(LevelProfileSnapshot, BillionBinSnapshotIsTinyAndRoundTrips) {
-    level_profile profile(1'000'000'000ULL);
-    profile.move_bin(0, 1);
-    profile.move_bin(0, 1);
-    profile.move_bin(1, 2);
+    const auto profile = level_profile::from_counts({999'999'998ULL, 1, 1});
     std::stringstream snapshot;
     profile.save(snapshot);
     EXPECT_LT(snapshot.str().size(), 128u); // O(max level) bytes, not O(n)
     EXPECT_TRUE(level_profile::load(snapshot) == profile);
 }
 
-TEST(LevelProfileSnapshot, RefusesExtractedBinsAndMalformedInput) {
-    level_profile profile(4);
-    profile.extract_bin(0);
-    std::stringstream out;
-    EXPECT_THROW(profile.save(out), kdc::contract_violation);
-    profile.insert_bin(0);
-
+TEST(LevelProfileSnapshot, RefusesMalformedInput) {
     auto load_of = [](const std::string& text) {
         std::stringstream in(text);
         return level_profile::load(in);
@@ -243,7 +245,7 @@ TEST(LevelProfileSnapshot, ResumesALevelProcessRun) {
     EXPECT_EQ(resumed.balls_placed(), 0u);
     resumed.run_balls(256);
     EXPECT_EQ(resumed.profile().total_balls(), 512u);
-    EXPECT_EQ(resumed.profile().remaining_bins(), 512u);
+    EXPECT_EQ(bins_in(resumed.profile()), 512u);
 }
 
 } // namespace

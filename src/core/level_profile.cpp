@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <istream>
 #include <iterator>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -186,6 +187,19 @@ level_profile level_profile::load(std::istream& in) {
         }
         if (count == 0) {
             continue;
+        }
+        if (count > n - bins) {
+            throw cli_error("level_profile snapshot: counts through level " +
+                            std::to_string(level) +
+                            " sum past the header's " + std::to_string(n) +
+                            " bins");
+        }
+        if (level != 0 && count > (std::numeric_limits<std::uint64_t>::max() -
+                                   profile.total_balls_) /
+                                      level) {
+            throw cli_error("level_profile snapshot: the ball total "
+                            "overflows 64 bits at level " +
+                            std::to_string(level));
         }
         profile.counts_[level] = count;
         profile.total_balls_ += level * count;

@@ -91,8 +91,8 @@ public:
     /// corruption and every truncation is rejected; throws cli_error
     /// (support/cli.hpp) with a precise message on any malformed input
     /// (bad CRC, bad magic/version, missing or surplus fields, counts
-    /// that do not sum to n). Version-1 snapshots (no trailer) are
-    /// refused — regenerate them.
+    /// that do not sum to n, a ball total beyond 64 bits). Version-1
+    /// snapshots (no trailer) are refused — regenerate them.
     [[nodiscard]] static level_profile load(std::istream& in);
 
     /// Structural equality: same bins-per-level counts (capacity beyond the

@@ -313,12 +313,22 @@ weight_profile weight_profile::load(std::istream& in) {
                             std::to_string(row) +
                             " declares zero bins at its value");
         }
+        if (count > n - bins) {
+            throw cli_error("weight_profile snapshot: counts through row " +
+                            std::to_string(row) + " sum past the header's " +
+                            std::to_string(n) + " bins");
+        }
         previous = value;
         const std::size_t slot = profile.values_.size();
         profile.values_.push_back(value);
         profile.index_.emplace(value, slot);
         profile.counts_.add(slot, static_cast<std::int64_t>(count));
         profile.total_weight_ += value * static_cast<double>(count);
+        if (!std::isfinite(profile.total_weight_)) {
+            throw cli_error("weight_profile snapshot: the weight total "
+                            "overflows a double at row " +
+                            std::to_string(row));
+        }
         bins += count;
     }
     fields >> std::ws;

@@ -131,6 +131,52 @@ TEST(SnapshotIntegrity, WeightProfileLoadRejectsSemanticErrors) {
     EXPECT_DOUBLE_EQ(ok.total_weight(), 2.0);
 }
 
+/// The cli_error message a hand-written, CRC-valid snapshot body is refused
+/// with, or "" if it loads.
+template <typename Profile>
+std::string refusal_of(const std::string& body) {
+    char hex[16];
+    std::snprintf(hex, sizeof hex, "%08x", kdc::crc32(body));
+    std::istringstream in(body + "crc32 " + hex + "\n");
+    try {
+        (void)Profile::load(in);
+    } catch (const cli_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SnapshotIntegrity, LevelProfileLoadRejectsWrappingTotals) {
+    // 2^64 - 1 + 2 wraps to 1 == n: the running sum must stop at n.
+    EXPECT_NE(refusal_of<level_profile>(
+                  "kdc-level-profile 2\n1 2\n18446744073709551615 2\n")
+                  .find("sum past the header's 1 bins"),
+              std::string::npos);
+    // 2 * (2^64 - 1) balls at level 2 wrap the ball total.
+    EXPECT_NE(refusal_of<level_profile>(
+                  "kdc-level-profile 2\n18446744073709551615 3\n"
+                  "0 0 18446744073709551615\n")
+                  .find("ball total overflows 64 bits at level 2"),
+              std::string::npos);
+    // Exactly 2^64 - 1 balls still fit.
+    EXPECT_EQ(refusal_of<level_profile>(
+                  "kdc-level-profile 2\n18446744073709551615 2\n"
+                  "0 18446744073709551615\n"),
+              "");
+}
+
+TEST(SnapshotIntegrity, WeightProfileLoadRejectsWrappingTotals) {
+    EXPECT_NE(refusal_of<weight_profile>(
+                  "kdc-weight-profile 1\n1 2\n1 18446744073709551615\n"
+                  "2 2\n")
+                  .find("sum past the header's 1 bins"),
+              std::string::npos);
+    EXPECT_NE(refusal_of<weight_profile>(
+                  "kdc-weight-profile 1\n2 1\n1e308 2\n")
+                  .find("weight total overflows a double at row 0"),
+              std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot stage: journal replay and resume-beats-ff precedence.
 // ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ kd_choice_level_process::kd_choice_level_process(level_profile initial,
     KD_EXPECTS_MSG(d <= profile_.n(), "cannot probe more bins than exist");
     distinct_.reserve(d);
     kept_.resize(k);
-    slot_probe_.reserve(d);
     kept_per_probe_.reserve(d);
 }
 
@@ -187,29 +186,28 @@ void kd_choice_level_process::run_duplicate_round_tail(level_state& state,
     // keep the k smallest by (height, tie_key, slot number), one fresh key
     // per slot in slot order. Heights are offered relative to the lowest
     // occupied level, which fits top_k's 32-bit height field where an
-    // absolute level need not.
+    // absolute level need not. The probe number stands in for the slot
+    // number: slots are numbered in probe order and one probe's slots
+    // differ in height, so the order is the same.
     KD_EXPECTS_MSG(state.top - state.base + d_ <=
                        std::numeric_limits<bin_load>::max(),
                    "duplicate-round slot heights above the lowest level "
-                   "and slot numbers must fit 32 bits");
+                   "and probe numbers must fit 32 bits");
     top_k select(kept_.data(), k_);
-    slot_probe_.clear();
     for (std::uint32_t t = 0; t < distinct_.size(); ++t) {
         const auto& dp = distinct_[t];
         for (std::uint32_t occurrence = 1; occurrence <= dp.multiplicity;
              ++occurrence) {
             select.offer(
                 static_cast<bin_load>(dp.level - state.base + occurrence),
-                static_cast<std::uint64_t>(gen_()),
-                static_cast<std::uint32_t>(slot_probe_.size()));
-            slot_probe_.push_back(t);
+                static_cast<std::uint64_t>(gen_()), t);
         }
     }
     // A kept slot implies all lower slots of the same bin are kept, so a
     // probe's kept-slot count IS its bin's ball gain.
     kept_per_probe_.assign(distinct_.size(), 0);
     for (std::size_t i = 0; i < k_; ++i) {
-        ++kept_per_probe_[slot_probe_[static_cast<std::uint32_t>(kept_[i])]];
+        ++kept_per_probe_[static_cast<std::uint32_t>(kept_[i])];
     }
     for (std::uint32_t t = 0; t < distinct_.size(); ++t) {
         const std::uint64_t level = distinct_[t].level + kept_per_probe_[t];

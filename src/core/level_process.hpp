@@ -101,7 +101,6 @@ private:
     std::uint64_t messages_ = 0;
     std::vector<distinct_probe> distinct_;
     std::vector<packed_slot> kept_;              // duplicate-tail selection
-    std::vector<std::uint32_t> slot_probe_;      // slot number -> probe
     std::vector<std::uint32_t> kept_per_probe_;  // duplicate-tail gains
     std::vector<std::uint32_t> height_hist_;     // probed bins per level
     std::vector<std::uint64_t> fast_levels_;     // fresh probes' levels

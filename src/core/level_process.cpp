@@ -53,9 +53,9 @@ void kd_choice_level_process::run_balls(std::uint64_t balls) {
 
         // Probe step (see the header comment): extraction is a plain
         // decrement, so the rank lookup always sees the without-replacement
-        // remainder. A per-level histogram of
-        // the probed bins is built as a side effect: it drives both the
-        // selection threshold and the wholesale reinsert below.
+        // remainder. A per-level histogram of the probed bins is built as a
+        // side effect: it drives both the selection threshold and the
+        // wholesale reinsert below.
         const std::size_t width =
             static_cast<std::size_t>(state.top - state.base) + 1;
         if (width > height_hist_.size()) {

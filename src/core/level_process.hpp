@@ -27,7 +27,6 @@
 // the end.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "serve/channel.hpp"
@@ -67,6 +69,72 @@ TEST(Dispatcher, BatchingNeverChangesTheOutcome) {
         EXPECT_EQ(batched[i].bins, singles[i].bins);
     }
     EXPECT_EQ(one_by_one.loads(), all_at_once.loads());
+}
+
+/// A mixed stream of allocates and releases: every third request releases
+/// one of the allocations still live, picked by a fixed stride.
+std::vector<request> mixed_requests(std::uint64_t count) {
+    std::vector<request> requests;
+    std::vector<std::uint64_t> live;
+    for (std::uint64_t id = 0; id < count; ++id) {
+        request req;
+        req.client = id % 4;
+        req.id = id;
+        if (id % 3 == 2 && !live.empty()) {
+            const std::size_t pick = (id * 5) % live.size();
+            req.kind = request_kind::release;
+            req.target = live[pick];
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        } else {
+            live.push_back(id);
+        }
+        requests.push_back(req);
+    }
+    return requests;
+}
+
+TEST(Dispatcher, MixedBatchAtTinyBinsMatchesOneRequestAtATime) {
+    // Four bins and six probes: every allocate of a batch probes bins that
+    // the batch's earlier allocates and releases already changed, so each
+    // selection must see the live loads, not the loads at batch start.
+    for (const probing mode : {probing::batch, probing::per_task}) {
+        SCOPED_TRACE(probing_name(mode));
+        dispatcher_config config;
+        config.bins = 4;
+        config.k = 2;
+        config.d = 6;
+        config.mode = mode;
+        config.seed = 29;
+        dispatcher serial(config);
+        dispatcher batched(config);
+        const std::vector<request> requests = mixed_requests(30);
+        std::vector<response> singles;
+        for (const request& req : requests) {
+            singles.push_back(serial.process({req}).at(0));
+        }
+        std::vector<response> merged;
+        std::size_t first = 0;
+        for (const std::size_t size : {7, 11, 1, 11}) {
+            const std::vector<request> batch(
+                requests.begin() + static_cast<std::ptrdiff_t>(first),
+                requests.begin() + static_cast<std::ptrdiff_t>(first + size));
+            for (const response& resp : batched.process(batch)) {
+                merged.push_back(resp);
+            }
+            first += size;
+        }
+        ASSERT_EQ(first, requests.size());
+        ASSERT_EQ(merged.size(), singles.size());
+        for (std::size_t i = 0; i < singles.size(); ++i) {
+            EXPECT_EQ(merged[i].client, singles[i].client);
+            EXPECT_EQ(merged[i].id, singles[i].id);
+            EXPECT_EQ(merged[i].bins, singles[i].bins);
+            EXPECT_EQ(merged[i].probe_messages, singles[i].probe_messages);
+        }
+        EXPECT_EQ(batched.loads(), serial.loads());
+        EXPECT_EQ(batched.live_allocations(), serial.live_allocations());
+        EXPECT_EQ(batched.probe_messages(), serial.probe_messages());
+    }
 }
 
 TEST(Dispatcher, ReleaseUndoesItsAllocate) {

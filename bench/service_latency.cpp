@@ -20,7 +20,8 @@
 // by key (core/scenario.hpp). Modes:
 //
 //   * default      — human-readable sweep table;
-//   * --log        — print the base config's allocation log and exit;
+//   * --log        — print the base config's allocation log in the mode
+//                    --mode names (batch for both) and exit;
 //   * --json       — write BENCH_service.json (schema
 //                    kdchoice-bench-service/v2), the recorded
 //                    latency/throughput trajectory;
@@ -54,9 +55,9 @@ struct sweep_cell {
 
 service_config base_config(const kdc::arg_parser& args) {
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("bins"));
-    base.k = static_cast<std::uint64_t>(args.get_int("k"));
-    base.d = static_cast<std::uint64_t>(args.get_int("d"));
+    base.n = args.get_positive_int("bins");
+    base.k = args.get_positive_int("k");
+    base.d = args.get_positive_int("d");
     const auto merged = kdc::core::scenario_from_cli(args, base);
 
     service_config config;
@@ -64,13 +65,17 @@ service_config base_config(const kdc::arg_parser& args) {
     config.k = merged.k;
     config.d = merged.d;
     config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    config.clients = static_cast<std::uint64_t>(args.get_int("clients"));
-    config.requests = static_cast<std::uint64_t>(args.get_int("requests"));
+    config.clients = args.get_positive_int("clients");
+    config.requests = args.get_positive_int("requests");
     config.churn = args.get_double("churn");
+    if (!(config.churn >= 0.0 && config.churn <= 1.0)) {
+        throw kdc::cli_error("option --churn must be in [0, 1], got '" +
+                             args.get_string("churn") + "'");
+    }
     config.channel_delay = args.get_positive_double("delay");
     config.batch_window = args.get_positive_double("window");
     config.service_time = args.get_positive_double("service-time");
-    config.max_batch = static_cast<std::uint64_t>(args.get_int("max-batch"));
+    config.max_batch = args.get_positive_int("max-batch");
     return config;
 }
 
@@ -244,7 +249,9 @@ int main(int argc, char** argv) {
         const service_config base = base_config(args);
 
         if (args.get_flag("log")) {
+            // One mode per log: --mode=both logs batch.
             service_config config = base;
+            config.mode = modes_from_cli(args).front();
             config.arrival_rate = 0.7 / base.service_time;
             std::cout << kdc::serve::run_service(config).allocation_log;
             return 0;

@@ -193,6 +193,15 @@ double arg_parser::get_positive_double(const std::string& name) const {
     return value;
 }
 
+std::uint64_t arg_parser::get_positive_int(const std::string& name) const {
+    const std::int64_t value = get_int(name);
+    if (value < 1) {
+        throw cli_error("option --" + name + " must be >= 1, got '" +
+                        get_string(name) + "'");
+    }
+    return static_cast<std::uint64_t>(value);
+}
+
 bool arg_parser::get_flag(const std::string& name) const {
     return get_string(name) == "true";
 }

@@ -101,6 +101,10 @@ public:
     /// are rejected with a cli_error saying the option must be > 0.
     [[nodiscard]] double get_positive_double(const std::string& name) const;
 
+    /// get_int plus a lower bound of 1: zero and negative values are
+    /// rejected with a cli_error saying the option must be >= 1.
+    [[nodiscard]] std::uint64_t get_positive_int(const std::string& name) const;
+
     [[nodiscard]] bool get_flag(const std::string& name) const;
 
     [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

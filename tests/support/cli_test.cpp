@@ -229,6 +229,39 @@ TEST(ArgParser, DoubleRejectsOutOfRangeAndNonFiniteValues) {
               std::string::npos);
 }
 
+/// Parses one --requests value through a fresh parser and returns the
+/// cli_error message get_positive_int produced (empty if it accepted).
+std::string positive_int_error(const std::string& value) {
+    arg_parser parser;
+    parser.add_option("requests", "20000", "total arrivals");
+    const std::string arg = "--requests=" + value;
+    const std::array argv{"prog", arg.c_str()};
+    if (!parser.parse(static_cast<int>(argv.size()), argv.data())) {
+        return "help?";
+    }
+    try {
+        (void)parser.get_positive_int("requests");
+        return "";
+    } catch (const cli_error& e) {
+        return e.what();
+    }
+}
+
+TEST(ArgParser, PositiveIntAcceptsOneAndAbove) {
+    EXPECT_EQ(positive_int_error("1"), "");
+    EXPECT_EQ(positive_int_error("250000"), "");
+}
+
+TEST(ArgParser, PositiveIntRejectsZeroNegativesAndGarbagePrecisely) {
+    EXPECT_NE(positive_int_error("0").find("--requests must be >= 1"),
+              std::string::npos);
+    EXPECT_NE(positive_int_error("0").find("'0'"), std::string::npos);
+    EXPECT_NE(positive_int_error("-1").find("--requests must be >= 1"),
+              std::string::npos);
+    EXPECT_NE(positive_int_error("1.5").find("expects an integer"),
+              std::string::npos);
+}
+
 TEST(ArgParser, AdaptiveOptionsDeclareDocumentedDefaults) {
     arg_parser parser;
     parser.add_adaptive_options();

@@ -38,6 +38,9 @@ request_sequence build_sequence(const service_config& config) {
     KD_EXPECTS_MSG(config.clients >= 1 && config.requests >= 1,
                    "service needs clients >= 1 and requests >= 1");
     KD_EXPECTS(config.arrival_rate > 0.0);
+    // run_service drains at most max_batch requests per batch; 0 would
+    // never drain the inbox.
+    KD_EXPECTS_MSG(config.max_batch >= 1, "service needs max_batch >= 1");
     std::vector<std::vector<client_arrival>> schedules;
     schedules.reserve(config.clients);
     const std::uint64_t base = config.requests / config.clients;

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "support/contracts.hpp"
+
 namespace kdc::serve {
 namespace {
 
@@ -143,6 +145,16 @@ TEST(Service, LogHasOneLinePerRequestInIdOrder) {
         EXPECT_EQ(lines[i].substr(0, lines[i].find(' ')),
                   std::to_string(i));
     }
+}
+
+TEST(Service, RejectsAZeroMaxBatch) {
+    // A drain limit of 0 used to spin the service scan forever.
+    service_config config = base_config();
+    config.max_batch = 0;
+    EXPECT_THROW((void)run_service(config), contract_violation);
+    EXPECT_THROW((void)run_serial_oracle(config), contract_violation);
+    config.max_batch = 1;
+    expect_matches_oracle(config);
 }
 
 } // namespace

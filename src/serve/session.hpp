@@ -14,7 +14,9 @@
 // far. The client tracks outstanding allocations by its own arrival
 // sequence numbers — it never needs a response to issue a release (the
 // dispatcher resolves the target id to bins server-side), which is what
-// keeps an open-loop schedule well-defined.
+// keeps an open-loop schedule well-defined. They sit in a Fenwick tree
+// over seqs, so drawing and removing a release target costs
+// O(log arrivals), not an O(live) erase.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <deque>
 #include <vector>
 
+#include "core/fenwick.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/uniform.hpp"
 #include "rng/xoshiro256ss.hpp"
@@ -64,7 +67,10 @@ draw_arrivals(const session_config& config) {
         rng::derive_seed(config.seed, 0x5e551025ULL), config.client));
     std::vector<client_arrival> schedule;
     schedule.reserve(config.arrivals);
-    std::vector<std::uint64_t> outstanding; // seqs of unreleased allocates
+    // One count per unreleased allocate, indexed by seq: the pick-th
+    // outstanding allocate in seq order is find_kth(pick), in O(log n).
+    core::fenwick_tree outstanding(config.arrivals);
+    std::uint64_t live = 0;
     double at = 0.0;
     for (std::uint64_t seq = 0; seq < config.arrivals; ++seq) {
         at += rng::exponential(gen, 1.0 / config.rate);
@@ -72,17 +78,16 @@ draw_arrivals(const session_config& config) {
         arrival.at = at;
         arrival.client = config.client;
         arrival.seq = seq;
-        const bool release =
-            rng::bernoulli(gen, config.churn) && !outstanding.empty();
+        const bool release = rng::bernoulli(gen, config.churn) && live > 0;
         if (release) {
-            const auto pick = static_cast<std::size_t>(
-                rng::uniform_below(gen, outstanding.size()));
+            const std::uint64_t pick = rng::uniform_below(gen, live);
             arrival.kind = request_kind::release;
-            arrival.target_seq = outstanding[pick];
-            outstanding.erase(outstanding.begin() +
-                              static_cast<std::ptrdiff_t>(pick));
+            arrival.target_seq = outstanding.find_kth(pick);
+            outstanding.add(arrival.target_seq, -1);
+            live -= 1;
         } else {
-            outstanding.push_back(seq);
+            outstanding.add(seq, 1);
+            live += 1;
         }
         schedule.push_back(arrival);
     }

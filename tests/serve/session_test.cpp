@@ -1,14 +1,20 @@
 // The session's in-flight bookkeeping: a FIFO of sent requests, ids
 // increasing from send to send, responses consumed in send order and never
-// before their send. Each rejection names its cause.
+// before their send. Each rejection names its cause. Also the client
+// schedule draw, held against the erase-based draw it replaced.
 #include "serve/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "rng/splitmix64.hpp"
+#include "rng/uniform.hpp"
+#include "rng/xoshiro256ss.hpp"
 #include "serve/message.hpp"
 #include "support/contracts.hpp"
 
@@ -109,6 +115,86 @@ TEST(Session, RejectsAResponseDeliveredBeforeItsSend) {
     EXPECT_EQ(s.in_flight(), 1u);
     s.on_response(answer(0), 2.0); // delivery at the send time is allowed
     EXPECT_EQ(s.in_flight(), 0u);
+}
+
+/// The erase-based draw draw_arrivals used before its Fenwick tree: the
+/// outstanding seqs in a sorted vector, erased at the picked index.
+std::vector<client_arrival> reference_arrivals(const session_config& config) {
+    rng::xoshiro256ss gen(rng::derive_seed(
+        rng::derive_seed(config.seed, 0x5e551025ULL), config.client));
+    std::vector<client_arrival> schedule;
+    std::vector<std::uint64_t> outstanding;
+    double at = 0.0;
+    for (std::uint64_t seq = 0; seq < config.arrivals; ++seq) {
+        at += rng::exponential(gen, 1.0 / config.rate);
+        client_arrival arrival;
+        arrival.at = at;
+        arrival.client = config.client;
+        arrival.seq = seq;
+        if (rng::bernoulli(gen, config.churn) && !outstanding.empty()) {
+            const auto pick = static_cast<std::size_t>(
+                rng::uniform_below(gen, outstanding.size()));
+            arrival.kind = request_kind::release;
+            arrival.target_seq = outstanding[pick];
+            outstanding.erase(outstanding.begin() +
+                              static_cast<std::ptrdiff_t>(pick));
+        } else {
+            outstanding.push_back(seq);
+        }
+        schedule.push_back(arrival);
+    }
+    return schedule;
+}
+
+TEST(DrawArrivals, MatchesTheEraseBasedDraw) {
+    for (const double churn : {0.0, 0.2, 0.5, 0.9}) {
+        for (std::uint64_t client = 0; client < 4; ++client) {
+            session_config config;
+            config.client = client;
+            config.seed = 17;
+            config.rate = 2.5;
+            config.arrivals = 4000;
+            config.churn = churn;
+            const auto expected = reference_arrivals(config);
+            const auto drawn = draw_arrivals(config);
+            ASSERT_EQ(drawn.size(), expected.size());
+            for (std::size_t i = 0; i < drawn.size(); ++i) {
+                ASSERT_EQ(drawn[i].at, expected[i].at);
+                ASSERT_EQ(drawn[i].client, expected[i].client);
+                ASSERT_EQ(drawn[i].seq, expected[i].seq);
+                ASSERT_EQ(drawn[i].kind, expected[i].kind);
+                ASSERT_EQ(drawn[i].target_seq, expected[i].target_seq)
+                    << "churn " << churn << ", client " << client
+                    << ", arrival " << i;
+            }
+        }
+    }
+}
+
+TEST(DrawArrivals, MillionArrivalSmoke) {
+    // The erase-based draw was quadratic here (seconds at 10^6 arrivals).
+    session_config config;
+    config.seed = 3;
+    config.rate = 1.0;
+    config.arrivals = 1000000;
+    config.churn = 0.2;
+    const auto schedule = draw_arrivals(config);
+    ASSERT_EQ(schedule.size(), config.arrivals);
+    // Every release frees an earlier allocate that is still outstanding.
+    std::vector<bool> live(config.arrivals, false);
+    std::uint64_t releases = 0;
+    for (const client_arrival& arrival : schedule) {
+        if (arrival.kind == request_kind::release) {
+            ASSERT_LT(arrival.target_seq, arrival.seq);
+            ASSERT_TRUE(live[arrival.target_seq]);
+            live[arrival.target_seq] = false;
+            releases += 1;
+        } else {
+            live[arrival.seq] = true;
+        }
+    }
+    EXPECT_GT(releases, 150000u);
+    EXPECT_LT(releases, 250000u);
 }
 
 } // namespace

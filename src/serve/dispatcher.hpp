@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/round_kernel.hpp"
@@ -66,8 +67,13 @@ public:
     [[nodiscard]] std::vector<request>
     accept(memory_channel<request>& in, std::size_t max);
 
-    /// Serves one batch (ids strictly increasing) in id order and returns
-    /// responses in id order. Fires serve.batch before the first request.
+    /// Serves one batch (ids strictly increasing) in id order and writes
+    /// the responses, in id order, over `out`: it ends with one response
+    /// per request, and each keeps the capacity of the `bins` it reuses.
+    /// Fires serve.batch before the first request.
+    void process(std::span<const request> batch, std::vector<response>& out);
+
+    /// process into a fresh vector.
     [[nodiscard]] std::vector<response>
     process(const std::vector<request>& batch);
 
@@ -100,8 +106,12 @@ public:
     [[nodiscard]] std::uint64_t balls_held() const noexcept;
 
 private:
-    [[nodiscard]] response allocate(const request& req);
-    [[nodiscard]] response release(const request& req);
+    /// Draws request `id`'s tape into the batch scratch at `first` and
+    /// prefetches the loads it probes.
+    void draw_tape(std::uint64_t id, std::size_t first);
+    /// Selects and commits from the tape drawn at `first`.
+    void allocate(const request& req, std::size_t first, response& resp);
+    void release(const request& req, response& resp);
 
     enum class id_state : std::uint8_t { never, live, released };
 
@@ -112,10 +122,13 @@ private:
     std::vector<std::uint32_t> bins_;
     std::uint64_t live_count_ = 0;
     std::uint64_t probe_messages_ = 0;
-    // Per-request scratch, reused across requests: one pool's probes and
-    // tie keys, and batch mode's kept candidates.
-    std::vector<std::uint32_t> probes_;
-    std::vector<std::uint64_t> keys_;
+    // Probes and tie keys per allocate: d in batch mode, k * d per-task.
+    std::uint64_t tape_size_;
+    // Per-batch scratch, reused across batches: request i's tape sits at
+    // [i * tape_size_, (i + 1) * tape_size_). And batch mode's kept
+    // candidates.
+    std::vector<std::uint32_t> tape_probes_;
+    std::vector<std::uint64_t> tape_keys_;
     std::vector<core::packed_slot> kept_;
 };
 

@@ -163,6 +163,7 @@ service_result run_service(const service_config& config) {
     service_result result;
     std::vector<double> allocate_latencies;
     allocate_latencies.reserve(seq.requests.size());
+    std::vector<response> responses; // reused by every batch
 
     // One pass over the deliveries in id order (docs/service.md, "Timing
     // model"). Request id reaches the inbox at at[id] + channel_delay;
@@ -196,7 +197,7 @@ service_result run_service(const service_config& config) {
         }
         const std::vector<request> batch =
             dispatcher.accept(inbox, config.max_batch);
-        const std::vector<response> responses = dispatcher.process(batch);
+        dispatcher.process(batch, responses);
         busy_until = start + config.service_time *
                                  static_cast<double>(batch.size());
         const double delivered = busy_until + config.channel_delay;

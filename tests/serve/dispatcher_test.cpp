@@ -137,6 +137,49 @@ TEST(Dispatcher, MixedBatchAtTinyBinsMatchesOneRequestAtATime) {
     }
 }
 
+TEST(Dispatcher, ServingIntoAReusedBufferEqualsFreshResponses) {
+    // 6, then 2, then 6 requests into one buffer that starts with stale
+    // junk: each call must leave exactly the fresh-vector responses, with
+    // no stale bins or message counts from an earlier occupant of a slot.
+    for (const probing mode : {probing::batch, probing::per_task}) {
+        SCOPED_TRACE(probing_name(mode));
+        dispatcher_config config;
+        config.bins = 16;
+        config.k = 3;
+        config.d = 5;
+        config.mode = mode;
+        config.seed = 37;
+        dispatcher fresh(config);
+        dispatcher reused(config);
+        response junk;
+        junk.client = 99;
+        junk.id = 99;
+        junk.bins = {7, 7, 7, 7, 7};
+        junk.probe_messages = 99;
+        std::vector<response> out(9, junk);
+        const std::vector<request> requests = mixed_requests(14);
+        std::size_t first = 0;
+        for (const std::size_t size : {6, 2, 6}) {
+            const std::vector<request> batch(
+                requests.begin() + static_cast<std::ptrdiff_t>(first),
+                requests.begin() + static_cast<std::ptrdiff_t>(first + size));
+            const std::vector<response> expected = fresh.process(batch);
+            reused.process(batch, out);
+            ASSERT_EQ(out.size(), size);
+            for (std::size_t i = 0; i < size; ++i) {
+                EXPECT_EQ(out[i].client, expected[i].client);
+                EXPECT_EQ(out[i].id, expected[i].id);
+                EXPECT_EQ(out[i].bins, expected[i].bins);
+                EXPECT_EQ(out[i].probe_messages, expected[i].probe_messages);
+            }
+            first += size;
+        }
+        EXPECT_EQ(reused.loads(), fresh.loads());
+        reused.process({}, out);
+        EXPECT_TRUE(out.empty());
+    }
+}
+
 TEST(Dispatcher, ReleaseUndoesItsAllocate) {
     dispatcher_config config;
     config.bins = 16;

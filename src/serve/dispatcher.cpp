@@ -73,12 +73,16 @@ void dispatcher::process(std::span<const request> batch,
     }
     core::fault_point(core::fault_site::serve_batch);
     // Pass 1: draw every allocate's tape and start loading its probed bins,
-    // so the selections below find them in cache.
+    // and each release's live-table entry, so pass 2 finds them in cache.
     tape_probes_.resize(batch.size() * tape_size_);
     tape_keys_.resize(batch.size() * tape_size_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].kind == request_kind::allocate) {
             draw_tape(batch[i].id, i * tape_size_);
+        } else if (batch[i].target < state_.size()) {
+#if defined(__GNUC__) || defined(__clang__)
+            __builtin_prefetch(bins_.data() + batch[i].target * config_.k);
+#endif
         }
     }
     // Pass 2: serve in id order against the live loads, committing each
@@ -123,6 +127,7 @@ void dispatcher::allocate(const request& req, std::size_t first,
     resp.client = req.client;
     resp.id = req.id;
     resp.bins.clear();
+    resp.bins.reserve(config_.k);
     const std::uint32_t* probes = tape_probes_.data() + first;
     const std::uint64_t* keys = tape_keys_.data() + first;
     if (config_.mode == probing::batch) {

@@ -6,12 +6,13 @@
 // probes and tie keys from a generator seeded derive_seed(seed, id),
 // probes-then-keys per pool (one pool of d for batch mode, k pools of d
 // for per-task mode) — into per-batch scratch, and prefetches the load of
-// every probed bin. Pass 2 walks the batch in id order: each allocate
-// selects against the live loads and commits at once, so the next request
-// of the same batch already sees it. The tape is a pure function of the
-// request, so drawing it early changes nothing, and every choice sees
-// exactly the loads a one-request-at-a-time server would: the chosen bins
-// equal the serial oracle's (serve/service.hpp) for every batching.
+// every probed bin and each release's live-table entry. Pass 2 walks the
+// batch in id order: each allocate selects against the live loads and
+// commits at once, so the next request of the same batch already sees it.
+// The tape is a pure function of the request, so drawing it early changes
+// nothing, and every choice sees exactly the loads a one-request-at-a-time
+// server would: the chosen bins equal the serial oracle's
+// (serve/service.hpp) for every batching.
 //
 // Batch-mode selection keeps the k smallest candidates by (height, key,
 // probe index) in one pass (core::top_k, core/round_kernel.hpp).

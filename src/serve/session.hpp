@@ -16,7 +16,7 @@
 // dispatcher resolves the target id to bins server-side), which is what
 // keeps an open-loop schedule well-defined. They sit in a Fenwick tree
 // over seqs, so drawing and removing a release target costs
-// O(log arrivals), not an O(live) erase.
+// O(log arrivals).
 #pragma once
 
 #include <algorithm>

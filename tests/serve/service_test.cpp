@@ -148,7 +148,7 @@ TEST(Service, LogHasOneLinePerRequestInIdOrder) {
 }
 
 TEST(Service, RejectsAZeroMaxBatch) {
-    // A drain limit of 0 used to spin the service scan forever.
+    // A drain limit of 0 would never empty the inbox.
     service_config config = base_config();
     config.max_batch = 0;
     EXPECT_THROW((void)run_service(config), contract_violation);

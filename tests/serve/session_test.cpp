@@ -172,7 +172,8 @@ TEST(DrawArrivals, MatchesTheEraseBasedDraw) {
 }
 
 TEST(DrawArrivals, MillionArrivalSmoke) {
-    // The erase-based draw was quadratic here (seconds at 10^6 arrivals).
+    // An O(live) removal per release makes this draw quadratic: seconds,
+    // not a fraction of one.
     session_config config;
     config.seed = 3;
     config.rate = 1.0;

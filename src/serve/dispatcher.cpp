@@ -28,6 +28,15 @@ void draw_pool(rng::xoshiro256ss& gen, std::uint64_t bins,
     }
 }
 
+/// Starts loading `address` into cache without waiting for it.
+void prefetch(const void* address) {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(address);
+#else
+    (void)address;
+#endif
+}
+
 } // namespace
 
 dispatcher::dispatcher(const dispatcher_config& config,
@@ -80,9 +89,7 @@ void dispatcher::process(std::span<const request> batch,
         if (batch[i].kind == request_kind::allocate) {
             draw_tape(batch[i].id, i * tape_size_);
         } else if (batch[i].target < state_.size()) {
-#if defined(__GNUC__) || defined(__clang__)
-            __builtin_prefetch(bins_.data() + batch[i].target * config_.k);
-#endif
+            prefetch(bins_.data() + batch[i].target * config_.k);
         }
     }
     // Pass 2: serve in id order against the live loads, committing each
@@ -105,11 +112,9 @@ void dispatcher::draw_tape(std::uint64_t id, std::size_t first) {
         draw_pool(gen, config_.bins, probes,
                   std::span<std::uint64_t>(tape_keys_.data() + pool,
                                            config_.d));
-#if defined(__GNUC__) || defined(__clang__)
         for (const std::uint32_t probe : probes) {
-            __builtin_prefetch(loads_.data() + probe);
+            prefetch(loads_.data() + probe);
         }
-#endif
     }
 }
 

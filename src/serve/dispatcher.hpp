@@ -127,8 +127,8 @@ private:
     std::uint64_t probe_messages_ = 0;
     // Probes and tie keys per allocate: d in batch mode, k * d per-task.
     std::uint64_t tape_size_;
-    // Per-batch scratch, reused across batches: request i's tape sits at
-    // [i * tape_size_, (i + 1) * tape_size_). And batch mode's kept
+    // Scratch reused across batches: request i's tape at
+    // [i * tape_size_, (i + 1) * tape_size_), and batch mode's kept
     // candidates.
     std::vector<std::uint32_t> tape_probes_;
     std::vector<std::uint64_t> tape_keys_;

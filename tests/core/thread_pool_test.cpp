@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -102,6 +103,53 @@ TEST(ThreadPool, RunRangesCoversEveryIndexExactlyOnce) {
     for (std::size_t i = 0; i < 5; ++i) {
         EXPECT_EQ(hits[i], 1u);
     }
+}
+
+TEST(ThreadPool, RunRangesInsideJobsCompletesWhileEveryWorkerIsBusy) {
+    // The sharded kernel calls run_ranges from inside engine jobs. Here both
+    // workers hold an outer job when run_ranges starts, so no helper can run
+    // until the callers have drained their own parts.
+    thread_pool pool(2);
+    std::atomic<int> started{0};
+    std::vector<std::vector<std::uint32_t>> hits(
+        2, std::vector<std::uint32_t>(1000, 0));
+    for (std::size_t job = 0; job < hits.size(); ++job) {
+        pool.submit([&, job] {
+            ++started;
+            while (started.load() < 2) {
+                std::this_thread::yield();
+            }
+            pool.run_ranges(
+                1000, 8,
+                [&](std::size_t, std::uint64_t begin, std::uint64_t end) {
+                    for (std::uint64_t i = begin; i < end; ++i) {
+                        ++hits[job][i];
+                    }
+                });
+        });
+    }
+    pool.wait_idle();
+    for (const auto& job_hits : hits) {
+        for (const auto hit : job_hits) {
+            EXPECT_EQ(hit, 1u);
+        }
+    }
+}
+
+TEST(ThreadPool, DestructorRunsEveryQueuedJobBeforeJoining) {
+    std::atomic<int> counter{0};
+    {
+        thread_pool pool(1);
+        // Occupy the only worker so the jobs below are still queued when
+        // the destructor starts.
+        pool.submit([] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        });
+        for (int i = 0; i < 50; ++i) {
+            pool.submit([&counter] { ++counter; });
+        }
+    }
+    EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ThreadPool, PersistentPoolReusesWorkersAcrossConsecutiveSweeps) {

@@ -1,9 +1,10 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
-#include "rng/splitmix64.hpp"
 #include "support/contracts.hpp"
 
 namespace kdc::core {
@@ -20,13 +21,9 @@ std::uint64_t thread_pool::threads_spawned() noexcept {
 
 thread_pool::thread_pool(unsigned threads) {
     KD_EXPECTS_MSG(threads >= 1, "a thread pool needs at least one worker");
-    deques_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-        deques_.push_back(std::make_unique<worker_deque>());
-    }
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i) {
-        workers_.emplace_back([this, i] { worker_loop(i); });
+        workers_.emplace_back([this] { worker_loop(); });
     }
     threads_spawned_total.fetch_add(threads, std::memory_order_relaxed);
 }
@@ -44,16 +41,10 @@ thread_pool::~thread_pool() {
 
 void thread_pool::submit(std::function<void()> job) {
     KD_EXPECTS_MSG(job != nullptr, "cannot submit an empty job");
-    const std::size_t slot =
-        next_deque_.fetch_add(1, std::memory_order_relaxed) % deques_.size();
     {
-        const std::lock_guard<std::mutex> control(control_mutex_);
+        const std::lock_guard<std::mutex> lock(control_mutex_);
         KD_EXPECTS_MSG(!stopping_, "pool is shutting down");
-        {
-            const std::lock_guard<std::mutex> dq(deques_[slot]->mutex);
-            deques_[slot]->jobs.push_back(std::move(job));
-        }
-        ++unclaimed_;
+        jobs_.push_back(std::move(job));
         ++in_flight_;
     }
     work_available_.notify_one();
@@ -191,81 +182,30 @@ thread_pool::phase_range(std::uint64_t total, std::size_t parts,
     return {begin, begin + base + (part < extra ? 1 : 0)};
 }
 
-bool thread_pool::try_pop_front(std::size_t queue_index,
-                                std::function<void()>& job) {
-    auto& dq = *deques_[queue_index];
-    const std::lock_guard<std::mutex> lock(dq.mutex);
-    if (dq.jobs.empty()) {
-        return false;
-    }
-    job = std::move(dq.jobs.front());
-    dq.jobs.pop_front();
-    return true;
-}
-
-bool thread_pool::try_steal_back(std::size_t queue_index,
-                                 std::function<void()>& job) {
-    auto& dq = *deques_[queue_index];
-    const std::lock_guard<std::mutex> lock(dq.mutex);
-    if (dq.jobs.empty()) {
-        return false;
-    }
-    job = std::move(dq.jobs.back());
-    dq.jobs.pop_back();
-    return true;
-}
-
-void thread_pool::worker_loop(unsigned index) {
-    // Victim selection only needs decorrelation between workers, never
-    // reproducibility: a per-worker SplitMix64 stream is plenty.
-    rng::splitmix64 victim_rng(rng::derive_seed(0x5745454Bu, index));
+void thread_pool::worker_loop() {
+    std::unique_lock<std::mutex> lock(control_mutex_);
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(control_mutex_);
-            work_available_.wait(
-                lock, [this] { return stopping_ || unclaimed_ > 0; });
-            if (unclaimed_ == 0) {
-                return; // stopping_ and every job claimed
-            }
-            // Claim a ticket: exactly one pushed-but-untaken job is now
-            // reserved for this worker, so the scan below must succeed.
-            --unclaimed_;
+        work_available_.wait(lock,
+                             [this] { return stopping_ || !jobs_.empty(); });
+        if (jobs_.empty()) {
+            return; // stopping_ and every queued job taken
         }
-        std::function<void()> job;
-        while (!try_pop_front(index, job)) {
-            const std::size_t start =
-                static_cast<std::size_t>(victim_rng()) % deques_.size();
-            bool stolen = false;
-            for (std::size_t i = 0; i < deques_.size() && !stolen; ++i) {
-                const std::size_t victim = (start + i) % deques_.size();
-                if (victim == index) {
-                    continue;
-                }
-                stolen = try_steal_back(victim, job);
-            }
-            if (stolen) {
-                break;
-            }
-            // A reserved job always sits in some deque (push and ticket
-            // count share one critical section), but concurrent claimers
-            // can empty a deque behind this scan while a new job lands in
-            // one already visited; yield and rescan.
-            std::this_thread::yield();
-        }
+        std::function<void()> job = std::move(jobs_.front());
+        jobs_.pop_front();
+        lock.unlock();
+        std::exception_ptr error;
         try {
             job();
         } catch (...) {
-            const std::lock_guard<std::mutex> lock(control_mutex_);
-            if (first_error_ == nullptr) {
-                first_error_ = std::current_exception();
-            }
+            error = std::current_exception();
         }
-        {
-            const std::lock_guard<std::mutex> lock(control_mutex_);
-            --in_flight_;
-            if (in_flight_ == 0) {
-                all_done_.notify_all();
-            }
+        job = nullptr; // release the job's captures outside the lock
+        lock.lock();
+        if (error != nullptr && first_error_ == nullptr) {
+            first_error_ = std::move(error);
+        }
+        if (--in_flight_ == 0) {
+            all_done_.notify_all();
         }
     }
 }

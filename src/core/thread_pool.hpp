@@ -1,22 +1,18 @@
-// Work-stealing thread pool plus the process-wide persistent pool every
+// FIFO thread pool plus the process-wide persistent pool every
 // execution-engine entry point shares.
 //
-// The pool used to live inside core/parallel_runner.hpp and was re-spawned
-// by every bench invocation; it is now its own layer so that run_sweep,
-// run_grid and run_parallel_experiment can all reuse ONE set of workers for
-// the lifetime of the process (see persistent_pool below). Scheduling order
-// never influences results: callers fold per-job outputs in a fixed order of
-// their own.
+// One set of workers lives for the whole process (see persistent_pool
+// below), so run_sweep and run_engine_grid never re-spawn threads between
+// sweeps. Scheduling order never influences results: callers place each
+// job's output by index and fold it in a fixed order of their own.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -24,10 +20,8 @@
 
 namespace kdc::core {
 
-/// Work-stealing pool of worker threads. Each worker owns a deque of jobs;
-/// submit() distributes jobs round-robin across the deques, a worker drains
-/// its own deque front-first (FIFO) and, when empty, steals from the back of
-/// a random victim's deque.
+/// Pool of worker threads sharing one FIFO job queue: submit() appends a
+/// job, and each idle worker pops the front.
 ///
 /// Exception contract: a job that throws does NOT kill its worker. The
 /// pool captures the FIRST exception (later ones are dropped), finishes
@@ -100,35 +94,17 @@ private:
     void run_phase(std::size_t count,
                    const std::function<void(std::size_t)>& body);
 
-    /// One worker's job deque. Guarded by its own mutex so pushes, local
-    /// pops and steals on different workers never contend with each other;
-    /// the control mutex below is only taken for the brief counter updates.
-    struct worker_deque {
-        std::mutex mutex;
-        std::deque<std::function<void()>> jobs;
-    };
+    void worker_loop();
 
-    void worker_loop(unsigned index);
-    [[nodiscard]] bool try_pop_front(std::size_t queue_index,
-                                     std::function<void()>& job);
-    [[nodiscard]] bool try_steal_back(std::size_t queue_index,
-                                      std::function<void()>& job);
-
-    std::vector<std::unique_ptr<worker_deque>> deques_;
-
-    // Counter invariant (both guarded by control_mutex_): a job is pushed to
-    // a deque and counted in one critical section, so once a worker claims a
-    // ticket (decrements unclaimed_) a matching job is guaranteed to sit in
-    // some deque until that worker takes it.
+    // All guarded by control_mutex_.
     std::mutex control_mutex_;
     std::condition_variable work_available_;
     std::condition_variable all_done_;
-    std::size_t unclaimed_ = 0;  // pushed but not yet claimed by a worker
-    std::size_t in_flight_ = 0;  // unclaimed + currently executing jobs
+    std::deque<std::function<void()>> jobs_;  // submitted, not yet started
+    std::size_t in_flight_ = 0;  // queued plus currently executing jobs
     bool stopping_ = false;
     std::exception_ptr first_error_;  // first submit()-job exception, if any
 
-    std::atomic<std::size_t> next_deque_{0};  // round-robin submit cursor
     std::vector<std::thread> workers_;
 };
 
@@ -140,9 +116,8 @@ private:
 /// The process-wide persistent pool: created on first use, then reused by
 /// every subsequent call for the rest of the process (joined at exit).
 /// `threads` is resolved via resolve_thread_count; asking for the size the
-/// pool already has returns the live pool untouched — consecutive sweeps,
-/// grids and experiments share one set of workers instead of re-spawning
-/// them per invocation. Asking for a *different* resolved size tears the old
+/// pool already has returns the live pool untouched — consecutive sweeps
+/// share one set of workers instead of re-spawning them per invocation. Asking for a *different* resolved size tears the old
 /// pool down (after its jobs drain) and spawns a fresh one; the previous
 /// reference dangles, so callers must not hold the reference across a
 /// resize. Serialized internally; must not be called from inside the pool's

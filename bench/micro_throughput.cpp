@@ -65,7 +65,6 @@
 #include <vector>
 
 #include "core/kdchoice.hpp"
-#include "core/parallel_runner.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -810,7 +809,7 @@ kdc::core::kd_choice_process bm_experiment_process(std::uint64_t seed) {
     return kdc::core::kd_choice_process(bm_experiment_n, 8, 16, seed);
 }
 
-/// Serial repetition sweep baseline for the parallel-runner comparison:
+/// Serial repetition baseline for the one-cell sweep comparison:
 /// 10 reps of the cell above.
 void bm_experiment_serial(benchmark::State& state) {
     constexpr std::uint64_t n = bm_experiment_n;
@@ -824,17 +823,19 @@ void bm_experiment_serial(benchmark::State& state) {
 }
 BENCHMARK(bm_experiment_serial)->Unit(benchmark::kMillisecond);
 
-/// The same sweep fanned out over a thread pool. Aggregates are bit-identical
-/// to the serial baseline; only wall-clock time may differ.
+/// The same reps as a one-cell sweep on the persistent pool. Aggregates are
+/// bit-identical to the serial baseline; only wall-clock time may differ.
 void bm_experiment_parallel(benchmark::State& state) {
     constexpr std::uint64_t n = bm_experiment_n;
-    const auto threads = static_cast<unsigned>(state.range(0));
+    auto& pool =
+        kdc::core::persistent_pool(static_cast<unsigned>(state.range(0)));
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        const auto result = kdc::core::run_parallel_experiment(
-            {.balls = n, .reps = 10, .seed = ++seed}, bm_experiment_process,
-            threads);
-        benchmark::DoNotOptimize(result.reps.data());
+        const auto outcomes = kdc::core::run_sweep(
+            pool, {kdc::core::make_sweep_cell(
+                      "(8,16)", {.balls = n, .reps = 10, .seed = ++seed},
+                      bm_experiment_process)});
+        benchmark::DoNotOptimize(outcomes[0].result.reps.data());
     }
     state.SetItemsProcessed(state.iterations() * 10 * n);
 }

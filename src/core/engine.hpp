@@ -1,10 +1,11 @@
-// Adaptive-precision execution engine: the one scheduling core behind
-// run_grid, run_parallel_experiment and run_sweep.
+// Adaptive-precision execution engine: run_engine_grid is the one grid
+// entry point, behind run_sweep and every bench with a custom per-rep
+// payload.
 //
 // Every experiment in this repo is a grid of cells, each cell a sequence of
 // independent repetitions (rep r of a cell depends only on its derived
 // seed). The engine schedules a cell's repetitions in deterministic CHUNKS
-// on the shared work-stealing pool and, between chunks, consults a pluggable
+// on the shared thread pool and, between chunks, consults a pluggable
 // STOPPING RULE:
 //
 //   * fixed_reps — run exactly the configured repetition count. One chunk,
@@ -19,8 +20,8 @@
 // Determinism contract: repetitions are folded — and stopping decisions are
 // taken — in repetition order at chunk boundaries only. Chunk boundaries
 // depend on the rule and the folded values, never on the thread count or
-// steal schedule, so the executed repetition counts AND every reported
-// number are bit-identical at --threads=1 and --threads=64.
+// the order in which jobs finish, so the executed repetition counts AND
+// every reported number are bit-identical at --threads=1 and --threads=64.
 #pragma once
 
 #include <algorithm>
@@ -175,9 +176,7 @@ struct cell_control {
 /// metric_kind); it is only invoked (in repetition order, at chunk
 /// boundaries) under that rule, and must be const-callable concurrently —
 /// distinct cells fold their chunks independently. Rethrows the first
-/// exception any
-/// job, metric or
-/// progress hook threw — scheduled jobs still run to completion (no new
+/// exception any job, metric or progress hook threw — scheduled jobs still run to completion (no new
 /// chunks start) so the pool is quiescent on return.
 ///
 /// Must be called from outside the pool's own workers.

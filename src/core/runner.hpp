@@ -6,10 +6,10 @@
 //
 // This serial runner is the semantic reference for the whole execution
 // stack: core/engine.hpp (chunked scheduling + stopping rules on the
-// persistent pool of core/thread_pool.hpp), core/parallel_runner.hpp (the
-// one-cell parallel entry points) and core/sweep.hpp (named multi-cell
-// sweeps) all promise results bit-identical to folding run_one_repetition
-// outputs in repetition order exactly as run_experiment below does.
+// persistent pool of core/thread_pool.hpp) and core/sweep.hpp (named
+// multi-cell sweeps) promise results bit-identical to folding
+// run_one_repetition outputs in repetition order exactly as run_experiment
+// below does.
 #pragma once
 
 #include <cstdint>
@@ -134,8 +134,8 @@ template <typename P>
 }
 
 /// Runs one repetition with the given (already derived) seed and returns its
-/// observations. Shared by the serial and parallel runners so both measure
-/// exactly the same thing.
+/// observations. Shared by run_experiment and make_sweep_cell so both
+/// measure exactly the same thing.
 template <typename Factory>
 [[nodiscard]] repetition_result
 run_one_repetition(std::uint64_t derived_seed, std::uint64_t balls,

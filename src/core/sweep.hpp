@@ -1,7 +1,7 @@
 // Cross-cell sweep layer of the execution engine: runs a whole parameter
 // grid — many named experiment cells, each with its own repetition count —
-// on ONE shared work-stealing thread pool, instead of parallelizing only
-// within a cell.
+// on ONE shared thread pool, instead of parallelizing only within a cell.
+// A one-cell sweep is the parallel form of run_experiment.
 //
 // The paper's headline artifacts (Table 1 over the (k,d) grid, the tradeoff
 // frontier, the d*k = Theta(log n) landmark sweeps) are grids of independent
@@ -17,7 +17,7 @@
 // decisions are taken on those rep-order folds at deterministic chunk
 // boundaries. The returned outcomes — including how many repetitions an
 // adaptive rule executed — are therefore bit-identical at any thread count,
-// under any steal schedule.
+// in whatever order the jobs finish.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,8 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/parallel_runner.hpp"
+#include "core/runner.hpp"
+#include "core/thread_pool.hpp"
 #include "support/row_emitter.hpp"
 
 namespace kdc::core {
@@ -46,8 +47,8 @@ struct sweep_cell {
     metric_kind metric = metric_kind::max_load;
 };
 
-/// Builds a sweep_cell from a process factory (the same factory shape the
-/// serial and parallel runners accept). The factory must be const-callable:
+/// Builds a sweep_cell from a process factory (the same factory shape
+/// run_experiment accepts). The factory must be const-callable:
 /// repetitions of the cell invoke it concurrently. config.balls must be the
 /// resolved ball count (>= 1); use whole_rounds_balls for the k-round
 /// default.

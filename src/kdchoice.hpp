@@ -16,7 +16,6 @@
 #pragma once
 
 #include "core/kdchoice.hpp"      // processes, kernels, engine, sweeps
-#include "core/parallel_runner.hpp" // run_grid / run_parallel_experiment
 #include "core/scenario.hpp"      // the declarative scenario API
 #include "serve/service.hpp"      // the allocation service + serial oracle
 #include "stats/histogram.hpp"    // aggregation used by experiment results

@@ -10,15 +10,17 @@
 
 #include "core/process.hpp"
 #include "core/runner.hpp"
+#include "core/scenario.hpp"
 #include "support/contracts.hpp"
 
 namespace {
 
 using kdc::core::experiment_config;
 using kdc::core::experiment_result;
+using kdc::core::fixed_reps_rule;
 using kdc::core::make_sweep_cell;
+using kdc::core::run_engine_grid;
 using kdc::core::run_experiment;
-using kdc::core::run_grid;
 using kdc::core::run_sweep;
 using kdc::core::sweep_cell;
 using kdc::core::sweep_emitter;
@@ -131,6 +133,42 @@ TEST(Sweep, MatchesSerialRunExperimentPerCell) {
     expect_identical(serial, outcomes[0].result);
 }
 
+/// The serial scenario reference for a one-cell sweep of `text` (a per-bin
+/// scenario).
+experiment_result scenario_serial(const char* text,
+                                  const experiment_config& config) {
+    return kdc::core::run_scenario_experiment(kdc::core::parse_scenario(text),
+                                              config);
+}
+
+TEST(Sweep, OneCellMatchesSerialForSingleAndDChoice) {
+    const experiment_config config{.balls = 256, .reps = 9, .seed = 7};
+    const auto single = make_sweep_cell("single", config, [](std::uint64_t s) {
+        return kdc::core::single_choice_process(256, s);
+    });
+    const auto dchoice = make_sweep_cell("3-choice", config,
+                                         [](std::uint64_t s) {
+        return kdc::core::d_choice_process(256, 3, s);
+    });
+    // 0 resolves to all hardware threads.
+    for (const unsigned threads : {0u, 1u, 2u, 8u}) {
+        expect_identical(scenario_serial("single:n=256,kernel=perbin", config),
+                         run_sweep({single}, with_threads(threads))[0].result);
+        expect_identical(
+            scenario_serial("dchoice:n=256,d=3,kernel=perbin", config),
+            run_sweep({dchoice}, with_threads(threads))[0].result);
+    }
+}
+
+TEST(Sweep, OneCellWithMoreThreadsThanRepsMatchesSerial) {
+    const experiment_config config{.balls = 64, .reps = 2, .seed = 5};
+    const auto cell = make_sweep_cell("kd(2,4)", config, [](std::uint64_t s) {
+        return kdc::core::kd_choice_process(64, 2, 4, s);
+    });
+    expect_identical(scenario_serial("kd:n=64,k=2,d=4,kernel=perbin", config),
+                     run_sweep({cell}, with_threads(16))[0].result);
+}
+
 TEST(Sweep, SharedPoolAcrossSuccessiveSweeps) {
     const auto cells = mixed_grid();
     const auto reference = serial_reference(cells);
@@ -172,8 +210,8 @@ TEST(Sweep, ExceptionFromMidGridCellPropagates) {
 }
 
 TEST(Sweep, StealHeavyManySingleRepCells) {
-    // Many 1-rep cells submitted round-robin across 8 deques: workers must
-    // steal to stay busy, and the outcome order must still be cell order.
+    // Many 1-rep cells on 8 workers: jobs finish in any order, and the
+    // outcome order must still be cell order.
     std::vector<sweep_cell> cells;
     for (int c = 0; c < 40; ++c) {
         cells.push_back(make_sweep_cell(
@@ -222,6 +260,13 @@ TEST(Sweep, RejectsInvalidCells) {
                          return kdc::core::single_choice_process(8, s);
                      }),
                  kdc::contract_violation);
+    EXPECT_THROW((void)make_sweep_cell(
+                     "no-reps",
+                     experiment_config{.balls = 8, .reps = 0, .seed = 1},
+                     [](std::uint64_t s) {
+                         return kdc::core::single_choice_process(8, s);
+                     }),
+                 kdc::contract_violation);
     sweep_cell no_runner;
     no_runner.name = "no-runner";
     no_runner.config = {.balls = 8, .reps = 1, .seed = 1};
@@ -229,14 +274,18 @@ TEST(Sweep, RejectsInvalidCells) {
 }
 
 TEST(SweepGrid, CustomPayloadTypeAndRaggedReps) {
-    // run_grid is the payload-generic layer: cells may return any type and
-    // have different repetition counts; slots land at grid[cell][rep].
+    // run_engine_grid is the payload-generic layer: cells may return any
+    // type and have different repetition counts; slots land at
+    // grid[cell][rep].
     thread_pool pool(4);
     const std::vector<std::uint32_t> reps{3, 1, 5};
-    const auto grid = run_grid<std::string>(
-        pool, reps, [](std::size_t cell, std::uint32_t rep) {
+    const auto grid = run_engine_grid<std::string>(
+        pool, reps,
+        [](std::size_t cell, std::uint32_t rep) {
             return std::to_string(cell) + ":" + std::to_string(rep);
-        });
+        },
+        [](std::size_t, const std::string&) { return 0.0; },
+        fixed_reps_rule());
     ASSERT_EQ(grid.size(), 3u);
     for (std::size_t c = 0; c < grid.size(); ++c) {
         ASSERT_EQ(grid[c].size(), reps[c]);
@@ -250,10 +299,10 @@ TEST(SweepGrid, CustomPayloadTypeAndRaggedReps) {
 TEST(SweepGrid, RejectsZeroRepCells) {
     thread_pool pool(2);
     const std::vector<std::uint32_t> reps{2, 0};
-    EXPECT_THROW((void)run_grid<int>(pool, reps,
-                                     [](std::size_t, std::uint32_t) {
-                                         return 1;
-                                     }),
+    EXPECT_THROW((void)run_engine_grid<int>(
+                     pool, reps, [](std::size_t, std::uint32_t) { return 1; },
+                     [](std::size_t, const int&) { return 0.0; },
+                     fixed_reps_rule()),
                  kdc::contract_violation);
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/process.hpp"
 #include "core/sweep.hpp"
+#include "support/contracts.hpp"
 
 namespace {
 
@@ -59,6 +60,76 @@ std::set<std::thread::id> worker_ids_during_sweep(unsigned threads) {
     options.threads = threads;
     (void)run_sweep(cells, options);
     return ids;
+}
+
+TEST(ThreadPool, RunsEverySubmittedJobAcrossWorkers) {
+    thread_pool pool(4);
+    EXPECT_EQ(pool.size(), 4u);
+    std::atomic<int> counter{0};
+    for (int i = 0; i < 100; ++i) {
+        pool.submit([&counter] { ++counter; });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPool, WaitIdleWithNothingSubmittedReturns) {
+    thread_pool pool(2);
+    pool.wait_idle();
+}
+
+TEST(ThreadPool, CanBeReusedAfterWaitIdle) {
+    thread_pool pool(3);
+    std::atomic<int> counter{0};
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 10; ++i) {
+            pool.submit([&counter] { ++counter; });
+        }
+        pool.wait_idle();
+    }
+    EXPECT_EQ(counter.load(), 30);
+}
+
+TEST(ThreadPool, RejectsZeroWorkers) {
+    EXPECT_THROW(thread_pool pool(0), kdc::contract_violation);
+}
+
+TEST(ThreadPool, DrainsManyTinyJobsAcrossStealingWorkers) {
+    // Far more jobs than workers: the shared queue must still hand every
+    // job to exactly one worker.
+    thread_pool pool(8);
+    std::atomic<int> counter{0};
+    for (int i = 0; i < 2000; ++i) {
+        pool.submit([&counter] { ++counter; });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(counter.load(), 2000);
+}
+
+TEST(ThreadPool, SubmitFromInsideAJobIsSafe) {
+    // Workers may enqueue follow-up work; wait_idle must cover jobs
+    // submitted by jobs.
+    thread_pool pool(4);
+    std::atomic<int> counter{0};
+    for (int i = 0; i < 16; ++i) {
+        pool.submit([&pool, &counter] {
+            for (int child = 0; child < 8; ++child) {
+                pool.submit([&counter] { ++counter; });
+            }
+        });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(counter.load(), 16 * 8);
+}
+
+TEST(ThreadPool, SingleWorkerStillDrainsEverything) {
+    thread_pool pool(1);
+    std::atomic<int> counter{0};
+    for (int i = 0; i < 50; ++i) {
+        pool.submit([&counter] { ++counter; });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ThreadPool, PhaseRangeDealsLikeShardLayout) {

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <iostream>
-#include <limits>
 #include <sstream>
 
 #include "support/contracts.hpp"
@@ -25,8 +24,9 @@ void arg_parser::add_flag(std::string name, std::string help) {
 void arg_parser::add_threads_option() {
     add_option("threads", "0",
                "worker threads shared by the whole sweep: every cell and "
-               "repetition runs on one work-stealing pool (0 = all hardware "
-               "threads); never changes reported numbers");
+               "repetition runs on one pool with a FIFO job queue (0 = all "
+               "hardware threads, at most 1024); never changes reported "
+               "numbers");
 }
 
 void arg_parser::add_kernel_option() {
@@ -87,10 +87,11 @@ void arg_parser::add_fault_options() {
 }
 
 unsigned arg_parser::get_threads() const {
+    // Far above any host this runs on: a larger value is a typo, and a pool
+    // that tried to start it would exhaust the process table.
+    constexpr std::int64_t max_threads = 1024;
     const std::int64_t value = get_int("threads");
-    if (value < 0 ||
-        value > static_cast<std::int64_t>(
-                    std::numeric_limits<unsigned>::max())) {
+    if (value < 0 || value > max_threads) {
         throw cli_error("option --threads out of range, got " +
                         std::to_string(value));
     }

@@ -28,14 +28,14 @@ public:
     void add_flag(std::string name, std::string help);
 
     /// Declares the standard `--threads` option shared by the sweep
-    /// binaries. The value sizes ONE work-stealing pool that all cells and
+    /// binaries. The value sizes ONE thread pool that all cells and
     /// repetitions of the binary's sweeps share (cross-cell parallelism,
     /// not just reps within one experiment); output is bit-identical at any
     /// thread count.
     void add_threads_option();
 
-    /// Parsed `--threads` value; negative values are rejected with
-    /// cli_error. The 0 sentinel ("use all hardware threads") is resolved by
+    /// Parsed `--threads` value; negative values and values above 1024 are
+    /// rejected with cli_error. The 0 sentinel ("use all hardware threads") is resolved by
     /// core::resolve_thread_count — the one place that semantic lives.
     [[nodiscard]] unsigned get_threads() const;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "support/contracts.hpp"
 
@@ -119,22 +120,36 @@ TEST(ArgParser, ThreadsOptionDefaultsToAutoSentinel) {
     EXPECT_EQ(parser.get_threads(), 0u);
 }
 
-TEST(ArgParser, ThreadsOptionParsesExplicitCount) {
+/// A parser holding only `--threads=<value>`. Parsing never builds a pool.
+arg_parser threads_parser(const std::string& value) {
     arg_parser parser;
     parser.add_threads_option();
-    const std::array argv{"prog", "--threads=8"};
-    ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
-    EXPECT_EQ(parser.get_threads(), 8u);
+    const std::string option = "--threads=" + value;
+    const std::array argv{"prog", option.c_str()};
+    EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+    return parser;
+}
+
+TEST(ArgParser, ThreadsOptionParsesExplicitCount) {
+    EXPECT_EQ(threads_parser("8").get_threads(), 8u);
+    EXPECT_EQ(threads_parser("1024").get_threads(), 1024u);
 }
 
 TEST(ArgParser, ThreadsOptionRejectsOverflowingCount) {
-    arg_parser parser;
-    parser.add_threads_option();
     // 2^32 would wrap to the 0 "all hardware threads" sentinel if the cast
-    // were unchecked.
-    const std::array argv{"prog", "--threads=4294967296"};
-    ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
-    EXPECT_THROW((void)parser.get_threads(), cli_error);
+    // were unchecked; 1025 and 2^32 - 1 fit an unsigned but would ask the
+    // pool for that many threads.
+    for (const char* value : {"1025", "4294967295", "4294967296"}) {
+        try {
+            (void)threads_parser(value).get_threads();
+            ADD_FAILURE() << "--threads=" << value << " was accepted";
+        } catch (const cli_error& error) {
+            EXPECT_STREQ(error.what(),
+                         ("option --threads out of range, got " +
+                          std::string(value))
+                             .c_str());
+        }
+    }
 }
 
 TEST(ArgParser, ThreadsOptionRejectsNegative) {

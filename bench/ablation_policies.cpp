@@ -9,7 +9,7 @@
 //     load distribution is invariant — identity, reversal and random
 //     schedules must agree (an ablation that *should* show nothing).
 //
-// Both ablation phases run as cross-cell sweeps sharing ONE work-stealing
+// Both ablation phases run as cross-cell sweeps sharing ONE thread
 // pool (core/sweep.hpp), so all configurations of a phase execute in
 // parallel; reported numbers are bit-identical at any --threads value.
 //

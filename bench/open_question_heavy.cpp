@@ -10,7 +10,7 @@
 //        Theta(sqrt((m/n) log n))).
 // The single-choice and (1, 2)-choice columns anchor the two behaviours.
 //
-// All (factor, config) points run as ONE sweep on the shared work-stealing
+// All (factor, config) points run as ONE sweep on the shared thread
 // pool; numbers are bit-identical at any --threads value. The heavily
 // loaded sweep is the level kernel's home turf: `--kernel=level` keeps
 // every repetition in O(max-load) state, so --max-factor can grow by orders

@@ -6,7 +6,7 @@
 // The d = 1 column is the classical single-choice process; the k = 1 row is
 // the classical d-choice of Azar et al.
 //
-// The whole grid runs as ONE sweep on a shared work-stealing pool
+// The whole grid runs as ONE sweep on a shared thread pool
 // (core/sweep.hpp): every (cell, rep) pair is a pool job, so --threads=16
 // stays busy even at --reps=3. Results are bit-identical to a serial run at
 // any thread count because per-rep seeds and the per-cell fold order are

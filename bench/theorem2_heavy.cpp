@@ -10,7 +10,7 @@
 // (Berenbrink et al.'s m-independence, which the paper's proof leans on).
 //
 // Every (config, m/n, role) triple is one cell of a single sweep on the
-// shared work-stealing pool (core/engine.hpp scheduling); numbers are
+// shared thread pool (core/engine.hpp scheduling); numbers are
 // bit-identical at any --threads value. This is exactly the regime the
 // level-compressed kernel exists for — `--kernel=level` runs the whole
 // sweep in O(max-load) state per repetition, so m/n and n can be pushed

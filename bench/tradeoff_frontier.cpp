@@ -10,7 +10,7 @@
 //     max load;
 //   * the adaptive threshold baseline (Czumaj-Stemann flavor) for context.
 //
-// All schemes run as one cross-cell sweep on a shared work-stealing pool
+// All schemes run as one cross-cell sweep on a shared thread pool
 // (core/sweep.hpp); aggregates are bit-identical to a serial run at any
 // --threads value.
 //

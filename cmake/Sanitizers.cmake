@@ -6,7 +6,7 @@
 # Usage:   cmake -DKDC_SANITIZE=address,undefined ...   (ASan + UBSan)
 #          cmake -DKDC_SANITIZE=thread ...              (TSan)
 # or via the `asan` / `tsan` entries in CMakePresets.json. ThreadSanitizer is
-# the job that proves the work-stealing pool and the sweep engine race-free;
+# the job that proves the thread pool and the sweep engine race-free;
 # it cannot be combined with AddressSanitizer.
 
 set(KDC_SANITIZE "" CACHE STRING

@@ -96,7 +96,8 @@ private:
 
     void worker_loop();
 
-    // All guarded by control_mutex_.
+    // The queue, the counters and the flags below are guarded by
+    // control_mutex_.
     std::mutex control_mutex_;
     std::condition_variable work_available_;
     std::condition_variable all_done_;

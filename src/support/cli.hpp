@@ -35,8 +35,9 @@ public:
     void add_threads_option();
 
     /// Parsed `--threads` value; negative values and values above 1024 are
-    /// rejected with cli_error. The 0 sentinel ("use all hardware threads") is resolved by
-    /// core::resolve_thread_count — the one place that semantic lives.
+    /// rejected with cli_error. The 0 sentinel ("use all hardware threads")
+    /// is resolved by core::resolve_thread_count — the one place that
+    /// semantic lives.
     [[nodiscard]] unsigned get_threads() const;
 
     /// Declares the standard `--kernel={perbin,level}` option: which

@@ -146,10 +146,10 @@ TEST(Sweep, OneCellMatchesSerialForSingleAndDChoice) {
     const auto single = make_sweep_cell("single", config, [](std::uint64_t s) {
         return kdc::core::single_choice_process(256, s);
     });
-    const auto dchoice = make_sweep_cell("3-choice", config,
-                                         [](std::uint64_t s) {
-        return kdc::core::d_choice_process(256, 3, s);
-    });
+    const auto dchoice =
+        make_sweep_cell("3-choice", config, [](std::uint64_t s) {
+            return kdc::core::d_choice_process(256, 3, s);
+        });
     // 0 resolves to all hardware threads.
     for (const unsigned threads : {0u, 1u, 2u, 8u}) {
         expect_identical(scenario_serial("single:n=256,kernel=perbin", config),

@@ -77,6 +77,35 @@ TEST(Service, MatchesOracleInPerTaskMode) {
     expect_matches_oracle(config);
 }
 
+TEST(Service, MatchesOracleWhenSomeClientsSendNothing) {
+    // 3 requests over 8 clients: clients 3 to 7 have empty schedules.
+    for (const probing mode : {probing::batch, probing::per_task}) {
+        service_config config = base_config();
+        config.mode = mode;
+        config.clients = 8;
+        config.requests = 3;
+        config.churn = 0.5;
+        expect_matches_oracle(config);
+        const service_result served = run_service(config);
+        EXPECT_EQ(served.allocations + served.releases, 3u);
+    }
+}
+
+TEST(Service, MatchesOracleWhenRequestsDoNotDivideAmongClients) {
+    // 103 = 5 * 20 + 3: clients 0 to 2 send 21 requests, clients 3 and 4
+    // send 20.
+    for (const probing mode : {probing::batch, probing::per_task}) {
+        service_config config = base_config();
+        config.mode = mode;
+        config.clients = 5;
+        config.requests = 103;
+        config.churn = 0.3;
+        expect_matches_oracle(config);
+        const service_result served = run_service(config);
+        EXPECT_EQ(served.allocations + served.releases, 103u);
+    }
+}
+
 TEST(Service, BatchModeSpendsExactlyDMessagesPerRequest) {
     const service_result result = run_service(base_config());
     ASSERT_GT(result.allocations, 0u);

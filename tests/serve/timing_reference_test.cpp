@@ -258,6 +258,28 @@ TEST(ServiceTiming, SingleClientOneRequestPerBatch) {
     }
 }
 
+TEST(ServiceTiming, SomeClientsSendNothing) {
+    // 3 requests over 8 clients: clients 3 to 7 have empty schedules.
+    for (const std::uint64_t seed : seeds) {
+        SCOPED_TRACE(seed);
+        service_config config = timing_config(seed);
+        config.clients = 8;
+        config.requests = 3;
+        expect_matches_reference(config);
+    }
+}
+
+TEST(ServiceTiming, RequestsNotAMultipleOfClients) {
+    // 403 = 7 * 57 + 4: four clients send one request more than the rest.
+    for (const std::uint64_t seed : seeds) {
+        SCOPED_TRACE(seed);
+        service_config config = timing_config(seed);
+        config.clients = 7;
+        config.requests = 403;
+        expect_matches_reference(config);
+    }
+}
+
 TEST(ServiceTiming, LightLoadBaseline) {
     for (const std::uint64_t seed : seeds) {
         SCOPED_TRACE(seed);

@@ -76,6 +76,8 @@ void dispatcher::process(std::span<const request> batch,
     if (batch.empty()) {
         return;
     }
+    KD_EXPECTS_MSG(loads_.size() == config_.bins,
+                   "dispatcher serves nothing after take_loads");
     for (std::size_t i = 1; i < batch.size(); ++i) {
         KD_EXPECTS_MSG(batch[i - 1].id < batch[i].id,
                        "dispatcher batches must be in id order");
@@ -195,6 +197,12 @@ void dispatcher::release(const request& req, response& resp) {
         KD_EXPECTS_MSG(loads_[bin] > 0, "release of an empty bin");
         loads_[bin] -= 1;
     }
+}
+
+core::load_vector dispatcher::take_loads() noexcept {
+    core::load_vector loads;
+    loads.swap(loads_);
+    return loads;
 }
 
 std::uint64_t dispatcher::balls_held() const noexcept {

@@ -25,10 +25,10 @@
 //
 // The live table is dense and indexed by request id: k bins per id and a
 // state byte (never allocated / live / released), grown geometrically to
-// cover the highest allocate id. Its memory is O(highest id * k) — the
-// same order as run_service's own per-request arrays — and every check
-// (a release of a non-live or future id, a second allocate of one id) is
-// O(1). An id is allocated at most once, and released at most once.
+// cover the highest allocate id. Its memory is O(highest id * k), and
+// every check (a release of a non-live or future id, a second allocate of
+// one id) is O(1). An id is allocated at most once, and released at most
+// once.
 //
 // Fault sites (docs/robustness.md): serve.accept fires when a non-empty
 // batch is drained from the channel, serve.batch before a batch is served.
@@ -88,6 +88,11 @@ public:
     [[nodiscard]] const core::load_vector& loads() const noexcept {
         return loads_;
     }
+
+    /// Moves the per-bin load vector out instead of copying it. The
+    /// dispatcher is spent: loads() is empty, balls_held() is 0 and
+    /// process() throws.
+    [[nodiscard]] core::load_vector take_loads() noexcept;
 
     /// Allocations not yet released.
     [[nodiscard]] std::uint64_t live_allocations() const noexcept {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <functional>
 #include <queue>
 #include <span>
 #include <tuple>
@@ -24,97 +23,126 @@ namespace kdc::serve {
 
 namespace {
 
-/// The merged, id-ordered request sequence plus each request's arrival
-/// time. Built identically by run_service and run_serial_oracle: per-client
-/// schedules (serve/session.hpp), merged by (time, client, seq), ids
-/// assigned in merged order, release targets resolved from client-local
-/// seqs to global ids.
-struct request_sequence {
-    std::vector<request> requests;      // index == id
-    std::vector<double> at;             // arrival time per id
-};
-
-request_sequence build_sequence(const service_config& config) {
-    KD_EXPECTS_MSG(config.clients >= 1 && config.requests >= 1,
-                   "service needs clients >= 1 and requests >= 1");
-    KD_EXPECTS(config.arrival_rate > 0.0);
-    // run_service drains at most max_batch requests per batch; 0 would
-    // never drain the inbox.
-    KD_EXPECTS_MSG(config.max_batch >= 1, "service needs max_batch >= 1");
-    std::vector<std::vector<client_arrival>> schedules;
-    schedules.reserve(config.clients);
-    const std::uint64_t base = config.requests / config.clients;
-    const std::uint64_t extra = config.requests % config.clients;
-    for (std::uint64_t c = 0; c < config.clients; ++c) {
-        session_config sc;
-        sc.client = c;
-        sc.seed = config.seed;
-        sc.rate = config.arrival_rate / static_cast<double>(config.clients);
-        sc.arrivals = base + (c < extra ? 1 : 0);
-        sc.churn = config.churn;
-        schedules.push_back(draw_arrivals(sc));
-    }
-
-    // Each schedule is in time order, so a min-heap on (time, client) over
-    // the clients' next arrivals yields the (time, client, seq) order.
-    using head = std::pair<double, std::uint64_t>; // (at, client)
-    std::priority_queue<head, std::vector<head>, std::greater<>> heads;
-    std::vector<std::size_t> cursor(config.clients, 0);
-    // id_of[client][client seq] -> global id, filled as ids are assigned.
-    // A release's target always precedes it within one client, so the
-    // lookup below never reads an unassigned entry.
-    std::vector<std::vector<std::uint64_t>> id_of(config.clients);
-    for (std::uint64_t c = 0; c < config.clients; ++c) {
-        id_of[c].resize(schedules[c].size());
-        if (!schedules[c].empty()) {
-            heads.emplace(schedules[c].front().at, c);
+/// The merged, id-ordered request sequence, drawn lazily. run_service and
+/// run_serial_oracle both read it: per-client arrival streams
+/// (serve/session.hpp), merged by (time, client, seq), ids assigned in
+/// merged order, release targets resolved from client-local seqs to global
+/// ids. It holds one pending arrival per client, not a request per id.
+class request_source {
+public:
+    explicit request_source(const service_config& config) {
+        KD_EXPECTS_MSG(config.clients >= 1 && config.requests >= 1,
+                       "service needs clients >= 1 and requests >= 1");
+        KD_EXPECTS(config.arrival_rate > 0.0);
+        // run_service drains at most max_batch requests per batch; 0 would
+        // never drain the inbox.
+        KD_EXPECTS_MSG(config.max_batch >= 1, "service needs max_batch >= 1");
+        streams_.reserve(config.clients);
+        id_of_.resize(config.clients);
+        const std::uint64_t base = config.requests / config.clients;
+        const std::uint64_t extra = config.requests % config.clients;
+        for (std::uint64_t c = 0; c < config.clients; ++c) {
+            session_config sc;
+            sc.client = c;
+            sc.seed = config.seed;
+            sc.rate = config.arrival_rate / static_cast<double>(config.clients);
+            sc.arrivals = base + (c < extra ? 1 : 0);
+            sc.churn = config.churn;
+            streams_.emplace_back(sc);
+            id_of_[c].resize(sc.arrivals);
+            if (!streams_[c].done()) {
+                pending_.push(streams_[c].next());
+            }
         }
     }
 
-    request_sequence seq;
-    seq.requests.reserve(config.requests);
-    seq.at.reserve(config.requests);
-    while (!heads.empty()) {
-        const std::uint64_t c = heads.top().second;
-        heads.pop();
-        const client_arrival& arrival = schedules[c][cursor[c]++];
-        if (cursor[c] < schedules[c].size()) {
-            heads.emplace(schedules[c][cursor[c]].at, c);
+    /// True once every request has been handed out.
+    [[nodiscard]] bool done() const noexcept { return pending_.empty(); }
+
+    /// Arrival time of the request next() hands out (requires !done()).
+    [[nodiscard]] double next_at() const { return pending_.top().at; }
+
+    /// The next request in id order (requires !done()).
+    [[nodiscard]] request next() {
+        // Each stream is in time order, so a min-heap on (time, client)
+        // over the clients' pending arrivals yields the (time, client, seq)
+        // order.
+        const client_arrival arrival = pending_.top();
+        pending_.pop();
+        const std::uint64_t c = arrival.client;
+        if (!streams_[c].done()) {
+            pending_.push(streams_[c].next());
         }
         request req;
         req.client = c;
-        req.id = seq.requests.size();
+        req.id = next_id_++;
         if (arrival.kind == request_kind::release) {
             KD_ASSERT_MSG(arrival.target_seq < arrival.seq,
                           "release target precedes its allocate");
             req.kind = request_kind::release;
-            req.target = id_of[c][arrival.target_seq];
+            req.target = id_of_[c][arrival.target_seq];
         } else {
-            id_of[c][arrival.seq] = req.id;
+            id_of_[c][arrival.seq] = req.id;
         }
-        seq.requests.push_back(req);
-        seq.at.push_back(arrival.at);
+        return req;
     }
-    return seq;
+
+private:
+    struct later {
+        bool operator()(const client_arrival& a,
+                        const client_arrival& b) const noexcept {
+            return std::tie(a.at, a.client) > std::tie(b.at, b.client);
+        }
+    };
+
+    std::vector<arrival_stream> streams_;
+    std::priority_queue<client_arrival, std::vector<client_arrival>, later>
+        pending_;
+    // id_of_[client][client seq] -> global id, filled as ids are assigned.
+    // A release's target always precedes it within one client, so next()
+    // never reads an unassigned entry.
+    std::vector<std::vector<std::uint64_t>> id_of_;
+    std::uint64_t next_id_ = 0;
+};
+
+std::uint64_t decimal_digits(std::uint64_t value) {
+    std::uint64_t digits = 1;
+    for (; value >= 10; value /= 10) {
+        ++digits;
+    }
+    return digits;
 }
 
-void append_number(std::string& log, std::uint64_t value) {
-    std::array<char, 20> digits{};
-    const auto end =
-        std::to_chars(digits.data(), digits.data() + digits.size(), value)
-            .ptr;
-    log.append(digits.data(), end);
+/// Reserves the allocation log once. A line is an id, " a" or " r", k bins
+/// each after a space, and a newline, so
+/// requests * (digits(requests) + 3 + k * (1 + digits(bins))) bounds it.
+void reserve_log(std::string& log, const service_config& config) {
+    log.reserve(config.requests *
+                (decimal_digits(config.requests) + 3 +
+                 config.k * (1 + decimal_digits(config.bins))));
 }
 
+/// Appends "<id> a|r <bin> ...\n". The line is formatted in a stack buffer
+/// and appended at once; a line too long for the buffer goes in pieces.
 void append_log_line(std::string& log, const response& resp,
                      request_kind kind) {
-    append_number(log, resp.id);
-    log += kind == request_kind::release ? " r" : " a";
+    std::array<char, 256> line;
+    char* const end = line.data() + line.size();
+    // Past this point " <bin>" (at most 11 chars) and '\n' may not fit.
+    char* const flush_at = end - 12;
+    char* out = std::to_chars(line.data(), end, resp.id).ptr;
+    *out++ = ' ';
+    *out++ = kind == request_kind::release ? 'r' : 'a';
     for (const std::uint32_t bin : resp.bins) {
-        log += ' ';
-        append_number(log, bin);
+        if (out > flush_at) {
+            log.append(line.data(), out);
+            out = line.data();
+        }
+        *out++ = ' ';
+        out = std::to_chars(out, end, bin).ptr;
     }
-    log += '\n';
+    *out++ = '\n';
+    log.append(line.data(), out);
 }
 
 void fill_latency_summary(service_result& result,
@@ -148,7 +176,7 @@ void fill_message_rates(service_result& result, std::uint64_t k) {
 } // namespace
 
 service_result run_service(const service_config& config) {
-    const request_sequence seq = build_sequence(config);
+    request_source source(config);
 
     dispatcher_config dc;
     dc.bins = config.bins;
@@ -161,27 +189,27 @@ service_result run_service(const service_config& config) {
     memory_channel<request> inbox;
     std::vector<session> sessions(config.clients);
     service_result result;
+    reserve_log(result.allocation_log, config);
     std::vector<double> allocate_latencies;
-    allocate_latencies.reserve(seq.requests.size());
+    allocate_latencies.reserve(config.requests);
     std::vector<response> responses; // reused by every batch
 
     // One pass over the deliveries in id order (docs/service.md, "Timing
-    // model"). Request id reaches the inbox at at[id] + channel_delay;
-    // arrival times are sorted, so `next` walks deliveries in time order.
-    const std::size_t total = seq.requests.size();
-    std::size_t next = 0;
+    // model"). A request reaches the inbox channel_delay after its arrival;
+    // arrival times rise with the id, so the source yields deliveries in
+    // time order.
     const auto delivery_time = [&] {
-        return seq.at[next] + config.channel_delay;
+        return source.next_at() + config.channel_delay;
     };
     const auto deliver = [&] {
-        const request& req = seq.requests[next];
-        sessions[req.client].on_send(req.id, seq.at[next]);
+        const double at = source.next_at();
+        const request req = source.next();
+        sessions[req.client].on_send(req.id, at);
         inbox.send(req);
-        ++next;
     };
     double start = 0.0; // start of the latest batch
     double busy_until = 0.0;
-    while (next < total || inbox.pending() > 0) {
+    while (!source.done() || inbox.pending() > 0) {
         // Trigger: the first delivery into an empty inbox, or else the
         // previous batch's start, which left requests in the inbox.
         double trigger = start;
@@ -192,7 +220,7 @@ service_result run_service(const service_config& config) {
         start = std::max(trigger + config.batch_window, busy_until);
         // Deliveries due by the start win the tie and join the inbox
         // before the batch is drained.
-        while (next < total && delivery_time() <= start) {
+        while (!source.done() && delivery_time() <= start) {
             deliver();
         }
         const std::vector<request> batch =
@@ -205,10 +233,11 @@ service_result run_service(const service_config& config) {
         for (std::size_t i = 0; i < responses.size(); ++i) {
             const request& req = batch[i];
             append_log_line(result.allocation_log, responses[i], req.kind);
-            sessions[req.client].on_response(responses[i], delivered);
+            const double sent_at =
+                sessions[req.client].on_response(responses[i], delivered);
             if (req.kind == request_kind::allocate) {
                 result.allocations += 1;
-                allocate_latencies.push_back(delivered - seq.at[req.id]);
+                allocate_latencies.push_back(delivered - sent_at);
             } else {
                 result.releases += 1;
             }
@@ -224,7 +253,7 @@ service_result run_service(const service_config& config) {
                    "every request got its response");
     result.probe_messages = dispatcher.probe_messages();
     result.balls_held = dispatcher.balls_held();
-    result.final_loads = dispatcher.loads();
+    result.final_loads = dispatcher.take_loads();
     for (const core::bin_load load : result.final_loads) {
         result.max_load = std::max<std::uint64_t>(result.max_load, load);
     }
@@ -234,7 +263,7 @@ service_result run_service(const service_config& config) {
 }
 
 service_result run_serial_oracle(const service_config& config) {
-    const request_sequence seq = build_sequence(config);
+    request_source source(config);
     KD_EXPECTS_MSG(config.mode != probing::batch || config.k <= config.d,
                    "batch (k,d)-choice needs k <= d");
 
@@ -244,10 +273,12 @@ service_result run_serial_oracle(const service_config& config) {
     std::vector<std::int64_t> loads(config.bins, 0);
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> live;
     service_result result;
-    result.batches = seq.requests.size();
+    reserve_log(result.allocation_log, config);
     std::vector<std::uint32_t> probes(config.d);
     std::vector<std::uint64_t> keys(config.d);
-    for (const request& req : seq.requests) {
+    while (!source.done()) {
+        const request req = source.next();
+        result.batches += 1;
         response resp;
         resp.client = req.client;
         resp.id = req.id;

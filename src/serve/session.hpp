@@ -1,16 +1,17 @@
 // Client sessions of the allocation service: open-loop arrival generation
 // and per-client response aggregation.
 //
-// Arrivals are OPEN-LOOP Poisson: each client draws its whole arrival
-// schedule (times, allocate/release decisions, release targets) from its
-// own seeded stream BEFORE the service runs, so the request sequence
-// is a pure function of (seed, clients, rate, churn) — never of service
-// timing, batching or thread count. That is the client half of the
+// Arrivals are OPEN-LOOP Poisson: each client draws its arrival schedule
+// (times, allocate/release decisions, release targets) from its own seeded
+// stream, one arrival at a time, and nothing the service does feeds back
+// into the draw, so the request sequence is a pure function of (seed,
+// clients, rate, churn) — never of service timing, batching or thread
+// count. That is the client half of the
 // determinism contract (docs/service.md): the server half is the
 // dispatcher's id-order processing.
 //
 // Churn is client-local: a release frees one of the CLIENT'S OWN still
-// outstanding allocations, chosen uniformly from the schedule built so
+// outstanding allocations, chosen uniformly from the arrivals drawn so
 // far. The client tracks outstanding allocations by its own arrival
 // sequence numbers — it never needs a response to issue a release (the
 // dispatcher resolves the target id to bins server-side), which is what
@@ -42,7 +43,7 @@ struct session_config {
     double churn = 0.0;          ///< P(arrival is a release | target live)
 };
 
-/// One pre-drawn arrival. `seq` numbers the client's own arrivals;
+/// One drawn arrival. `seq` numbers the client's own arrivals;
 /// `target_seq` (releases only) names the client-local seq of the allocate
 /// being freed. Global request ids are assigned later, in merged arrival
 /// order across all clients (serve/service.cpp).
@@ -54,42 +55,69 @@ struct client_arrival {
     std::uint64_t target_seq = 0;
 };
 
-/// Draws a client's full arrival schedule. Stream: the arrival master seed
-/// is derive_seed(seed, 0x5e551025) — a different branch than the
-/// dispatcher's per-request tapes, so client schedules and probe tapes
+/// Draws one client's arrivals one next() at a time. Stream: the arrival
+/// master seed is derive_seed(seed, 0x5e551025) — a different branch than
+/// the dispatcher's per-request tapes, so client schedules and probe tapes
 /// never share a stream — then derive_seed(master, client) per client.
 /// Per arrival the draw order is fixed: inter-arrival gap, churn coin,
 /// then (for a release with a live target) the target index.
-[[nodiscard]] inline std::vector<client_arrival>
-draw_arrivals(const session_config& config) {
-    KD_EXPECTS(config.rate > 0.0);
-    rng::xoshiro256ss gen(rng::derive_seed(
-        rng::derive_seed(config.seed, 0x5e551025ULL), config.client));
-    std::vector<client_arrival> schedule;
-    schedule.reserve(config.arrivals);
+class arrival_stream {
+public:
+    explicit arrival_stream(const session_config& config)
+        : config_(config),
+          gen_(rng::derive_seed(rng::derive_seed(config.seed, 0x5e551025ULL),
+                                config.client)),
+          outstanding_(config.arrivals) {
+        KD_EXPECTS(config.rate > 0.0);
+    }
+
+    /// True once all `arrivals` have been drawn.
+    [[nodiscard]] bool done() const noexcept {
+        return seq_ == config_.arrivals;
+    }
+
+    /// Draws the next arrival (requires !done()).
+    [[nodiscard]] client_arrival next() {
+        KD_EXPECTS_MSG(!done(), "arrival stream is exhausted");
+        at_ += rng::exponential(gen_, 1.0 / config_.rate);
+        client_arrival arrival;
+        arrival.at = at_;
+        arrival.client = config_.client;
+        arrival.seq = seq_;
+        const bool release = rng::bernoulli(gen_, config_.churn) && live_ > 0;
+        if (release) {
+            const std::uint64_t pick = rng::uniform_below(gen_, live_);
+            arrival.kind = request_kind::release;
+            arrival.target_seq = outstanding_.find_kth(pick);
+            outstanding_.add(arrival.target_seq, -1);
+            live_ -= 1;
+        } else {
+            outstanding_.add(seq_, 1);
+            live_ += 1;
+        }
+        seq_ += 1;
+        return arrival;
+    }
+
+private:
+    session_config config_;
+    rng::xoshiro256ss gen_;
     // One count per unreleased allocate, indexed by seq: the pick-th
     // outstanding allocate in seq order is find_kth(pick), in O(log n).
-    core::fenwick_tree outstanding(config.arrivals);
-    std::uint64_t live = 0;
-    double at = 0.0;
-    for (std::uint64_t seq = 0; seq < config.arrivals; ++seq) {
-        at += rng::exponential(gen, 1.0 / config.rate);
-        client_arrival arrival;
-        arrival.at = at;
-        arrival.client = config.client;
-        arrival.seq = seq;
-        const bool release = rng::bernoulli(gen, config.churn) && live > 0;
-        if (release) {
-            const std::uint64_t pick = rng::uniform_below(gen, live);
-            arrival.kind = request_kind::release;
-            arrival.target_seq = outstanding.find_kth(pick);
-            outstanding.add(arrival.target_seq, -1);
-            live -= 1;
-        } else {
-            outstanding.add(seq, 1);
-            live += 1;
-        }
-        schedule.push_back(arrival);
+    core::fenwick_tree outstanding_;
+    std::uint64_t live_ = 0; // allocates not yet released
+    std::uint64_t seq_ = 0;  // seq of the next arrival
+    double at_ = 0.0;        // time of the latest arrival
+};
+
+/// Draws a client's full arrival schedule: arrival_stream, drawn to the end.
+[[nodiscard]] inline std::vector<client_arrival>
+draw_arrivals(const session_config& config) {
+    arrival_stream stream(config);
+    std::vector<client_arrival> schedule;
+    schedule.reserve(config.arrivals);
+    while (!stream.done()) {
+        schedule.push_back(stream.next());
     }
     return schedule;
 }
@@ -115,16 +143,19 @@ public:
     }
 
     /// Consumes the response to the oldest request in flight, delivered at
-    /// `at` (no earlier than the send).
-    void on_response(const response& resp, double at) {
+    /// `at` (no earlier than the send), and returns that request's send
+    /// time.
+    double on_response(const response& resp, double at) {
         const bool oldest = !sent_.empty() && sent_.front().id == resp.id;
         KD_EXPECTS_MSG(oldest || !is_in_flight(resp.id),
                        "response out of send order");
         KD_EXPECTS_MSG(oldest,
                        "response to a request this session never sent");
-        KD_EXPECTS_MSG(at >= sent_.front().at,
+        const double sent_at = sent_.front().at;
+        KD_EXPECTS_MSG(at >= sent_at,
                        "response delivered before its request was sent");
         sent_.pop_front();
+        return sent_at;
     }
 
     /// Requests sent but not yet answered.

@@ -48,6 +48,23 @@ TEST(Dispatcher, AllocateReturnsKBinsInRange) {
     EXPECT_EQ(dispatch.live_allocations(), 10u);
 }
 
+TEST(Dispatcher, TakeLoadsMovesTheLoadsOutAndSpendsTheDispatcher) {
+    dispatcher_config config;
+    config.bins = 64;
+    config.k = 3;
+    config.d = 7;
+    config.seed = 11;
+    dispatcher dispatch(config);
+    (void)dispatch.process(allocates(10, 0));
+    const core::load_vector expected = dispatch.loads();
+    const core::load_vector taken = dispatch.take_loads();
+    EXPECT_EQ(taken, expected);
+    EXPECT_TRUE(dispatch.loads().empty());
+    EXPECT_EQ(dispatch.balls_held(), 0u);
+    EXPECT_THROW((void)dispatch.process(allocates(1, 10)),
+                 contract_violation);
+}
+
 TEST(Dispatcher, BatchingNeverChangesTheOutcome) {
     // One request per batch vs everything in one batch: every request of
     // the big batch must see exactly the serial loads.

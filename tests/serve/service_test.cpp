@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -173,6 +176,50 @@ TEST(Service, LogHasOneLinePerRequestInIdOrder) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
         EXPECT_EQ(lines[i].substr(0, lines[i].find(' ')),
                   std::to_string(i));
+    }
+}
+
+TEST(Service, LongLogLinesReplayToTheFinalLoads) {
+    // 40 bins of six or seven digits make each line longer than the
+    // 256-byte buffer a line is formatted in. Replaying the log must
+    // rebuild every load.
+    service_config config = base_config();
+    config.bins = 1u << 20;
+    config.k = 40;
+    config.d = 48;
+    config.churn = 0.3;
+    config.requests = 200;
+    const service_result result = run_service(config);
+    std::vector<std::int64_t> loads(config.bins, 0);
+    std::istringstream log(result.allocation_log);
+    std::string line;
+    std::uint64_t lines = 0;
+    std::size_t longest = 0;
+    while (std::getline(log, line)) {
+        longest = std::max(longest, line.size() + 1);
+        std::istringstream fields(line);
+        std::uint64_t id = 0;
+        std::string kind;
+        ASSERT_TRUE(fields >> id >> kind);
+        EXPECT_EQ(id, lines);
+        ASSERT_TRUE(kind == "a" || kind == "r") << line;
+        std::uint64_t bins = 0;
+        std::uint64_t bin = 0;
+        while (fields >> bin) {
+            ASSERT_LT(bin, config.bins);
+            loads[bin] += kind == "a" ? 1 : -1;
+            bins += 1;
+        }
+        EXPECT_TRUE(fields.eof()) << line;
+        EXPECT_EQ(bins, config.k) << line;
+        lines += 1;
+    }
+    EXPECT_EQ(lines, config.requests);
+    EXPECT_GT(longest, 256u);
+    ASSERT_GT(result.releases, 0u);
+    for (std::uint64_t b = 0; b < config.bins; ++b) {
+        ASSERT_EQ(loads[b], static_cast<std::int64_t>(result.final_loads[b]))
+            << "bin " << b;
     }
 }
 

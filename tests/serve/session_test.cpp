@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rng/splitmix64.hpp"
@@ -57,6 +58,17 @@ TEST(Session, InFlightCountsSendsMinusResponses) {
     s.on_response(answer(5), 3.0);
     s.on_response(answer(9), 3.0);
     s.on_response(answer(11), 3.5);
+    EXPECT_EQ(s.in_flight(), 0u);
+}
+
+TEST(Session, OnResponseReturnsTheMatchedSendTime) {
+    session s;
+    s.on_send(3, 0.25);
+    s.on_send(8, 1.75);
+    EXPECT_EQ(s.on_response(answer(3), 2.0), 0.25);
+    s.on_send(12, 2.5);
+    EXPECT_EQ(s.on_response(answer(8), 2.0), 1.75);
+    EXPECT_EQ(s.on_response(answer(12), 2.5), 2.5);
     EXPECT_EQ(s.in_flight(), 0u);
 }
 
@@ -167,6 +179,51 @@ TEST(DrawArrivals, MatchesTheEraseBasedDraw) {
                     << "churn " << churn << ", client " << client
                     << ", arrival " << i;
             }
+        }
+    }
+}
+
+TEST(ArrivalStream, AnEmptyStreamIsDoneAndRefusesToDraw) {
+    session_config config;
+    config.arrivals = 0;
+    arrival_stream stream(config);
+    EXPECT_TRUE(stream.done());
+    expect_violation([&] { (void)stream.next(); },
+                     "arrival stream is exhausted");
+}
+
+TEST(ArrivalStream, InterleavedStreamsDrawTheirOwnSchedules) {
+    // Streams of different clients share no state, so drawing them in
+    // turns yields each client's draw_arrivals schedule.
+    session_config a;
+    a.client = 0;
+    a.seed = 5;
+    a.rate = 1.5;
+    a.arrivals = 300;
+    a.churn = 0.4;
+    session_config b = a;
+    b.client = 1;
+    b.arrivals = 200;
+    arrival_stream sa(a);
+    arrival_stream sb(b);
+    std::vector<client_arrival> drawn_a;
+    std::vector<client_arrival> drawn_b;
+    while (!sa.done() || !sb.done()) {
+        if (!sa.done()) {
+            drawn_a.push_back(sa.next());
+        }
+        if (!sb.done()) {
+            drawn_b.push_back(sb.next());
+        }
+    }
+    for (const auto& [config, drawn] :
+         {std::pair{a, drawn_a}, std::pair{b, drawn_b}}) {
+        const auto expected = draw_arrivals(config);
+        ASSERT_EQ(drawn.size(), expected.size());
+        for (std::size_t i = 0; i < drawn.size(); ++i) {
+            ASSERT_EQ(drawn[i].at, expected[i].at);
+            ASSERT_EQ(drawn[i].kind, expected[i].kind);
+            ASSERT_EQ(drawn[i].target_seq, expected[i].target_seq);
         }
     }
 }

@@ -99,7 +99,12 @@ int main(int argc, char** argv) {
         sc.k = k;
         sc.d = d;
         cells.push_back(kdc::core::make_scenario_cell(
-            "(" + std::to_string(k) + "," + std::to_string(d) + ")", sc,
+            std::string("(")
+                .append(std::to_string(k))
+                .append(",")
+                .append(std::to_string(d))
+                .append(")"),
+            sc,
             {.balls = n - (n % k), .reps = reps,
              .seed = pair_seed * multiplier}));
     };
@@ -140,15 +145,21 @@ int main(int argc, char** argv) {
                     kdc::table_align::left)
         .add_column("better",
                     [](const pair_row& row, std::size_t) {
-                        return "(" + std::to_string(row.p->kb) + "," +
-                               std::to_string(row.p->db) + ")";
+                        return std::string("(")
+                            .append(std::to_string(row.p->kb))
+                            .append(",")
+                            .append(std::to_string(row.p->db))
+                            .append(")");
                     })
         .add_stat_column("better mean",
                          [](const pair_row& row) { return row.better_mean; })
         .add_column("worse",
                     [](const pair_row& row, std::size_t) {
-                        return "(" + std::to_string(row.p->kw) + "," +
-                               std::to_string(row.p->dw) + ")";
+                        return std::string("(")
+                            .append(std::to_string(row.p->kw))
+                            .append(",")
+                            .append(std::to_string(row.p->dw))
+                            .append(")");
                     })
         .add_stat_column("worse mean",
                          [](const pair_row& row) { return row.worse_mean; })

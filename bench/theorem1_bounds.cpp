@@ -67,8 +67,11 @@ int main(int argc, char** argv) {
             const auto bound =
                 kdc::theory::theorem1_bound(n, cfg.k, cfg.d);
             const double measured = result.max_load_stats.mean();
-            table.add_row({"(" + std::to_string(cfg.k) + "," +
-                               std::to_string(cfg.d) + ")",
+            table.add_row({std::string("(")
+                               .append(std::to_string(cfg.k))
+                               .append(",")
+                               .append(std::to_string(cfg.d))
+                               .append(")"),
                            cfg.regime, std::to_string(n),
                            kdc::format_fixed(measured, 2),
                            kdc::format_fixed(bound.first, 2),

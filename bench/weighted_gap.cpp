@@ -195,8 +195,11 @@ int main(int argc, char** argv) {
                     kdc::table_align::left)
         .add_column("(k,d)",
                     [](const cell_row& row, std::size_t) {
-                        return "(" + std::to_string(row.cell->kd.k) + "," +
-                               std::to_string(row.cell->kd.d) + ")";
+                        return std::string("(")
+                            .append(std::to_string(row.cell->kd.k))
+                            .append(",")
+                            .append(std::to_string(row.cell->kd.d))
+                            .append(")");
                     })
         .add_column("reps",
                     [](const cell_row& row, std::size_t) {

@@ -2,7 +2,8 @@
 #
 # kdc_enable_warnings(target)        - the strict set used across all targets.
 # kdc_enable_warnings_as_errors(tgt) - additionally promotes warnings to errors
-#                                      (applied to the library; gated on
+#                                      (applied to the library and the
+#                                      bench binaries; gated on
 #                                      KDC_WERROR so downstream users with
 #                                      newer, noisier compilers can opt out).
 

@@ -270,8 +270,11 @@ void d_choice_level_process::run_balls(std::uint64_t balls) {
         }
         // Least loaded of d probes: only the minimum level matters, and any
         // duplicate probes cannot change it, so d independent level draws
-        // are exact (no extraction between them). The early exit at level 0
-        // keeps the draw count identical to the reference per-bin process.
+        // are exact (no extraction between them). Once a probe hits level 0
+        // no later probe can go lower, so the rest are not drawn: the
+        // per-bin d_choice_process always draws all d, so the two kernels
+        // agree in distribution, not draw for draw. messages() still
+        // counts d per ball.
         std::uint64_t best = state.level_of_rank(probe_draws_.next(gen_));
         for (std::uint64_t probe = 1; probe < d_ && best > 0; ++probe) {
             best = std::min(best,

@@ -6,9 +6,9 @@
 // stream, one arrival at a time, and nothing the service does feeds back
 // into the draw, so the request sequence is a pure function of (seed,
 // clients, rate, churn) — never of service timing, batching or thread
-// count. That is the client half of the
-// determinism contract (docs/service.md): the server half is the
-// dispatcher's id-order processing.
+// count. That is the client half of the determinism contract
+// (docs/service.md): the server half is the dispatcher's id-order
+// processing.
 //
 // Churn is client-local: a release frees one of the CLIENT'S OWN still
 // outstanding allocations, chosen uniformly from the arrivals drawn so

@@ -5,12 +5,13 @@
 
 #include "rng/sampling.hpp"
 #include "rng/uniform.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::core {
 
 one_plus_beta_process::one_plus_beta_process(std::uint64_t n, double beta,
                                              std::uint64_t seed)
-    : loads_(n, 0), beta_(beta), gen_(seed) {
+    : loads_(zeroed_vector<bin_load>(n)), beta_(beta), gen_(seed) {
     KD_EXPECTS(n >= 1);
     KD_EXPECTS_MSG(beta >= 0.0 && beta <= 1.0, "beta must lie in [0, 1]");
 }
@@ -89,7 +90,7 @@ batched_greedy_process::batched_greedy_process(std::uint64_t n,
                                                std::uint64_t k,
                                                std::uint64_t d,
                                                std::uint64_t seed)
-    : batched_greedy_process(load_vector(n, 0), k, d, seed) {}
+    : batched_greedy_process(zeroed_vector<bin_load>(n), k, d, seed) {}
 
 batched_greedy_process::batched_greedy_process(load_vector initial_loads,
                                                std::uint64_t k,
@@ -157,8 +158,8 @@ adaptive_threshold_process::adaptive_threshold_process(std::uint64_t n,
                                                        bin_load threshold,
                                                        std::uint32_t max_probes,
                                                        std::uint64_t seed)
-    : loads_(n, 0), threshold_(threshold), max_probes_(max_probes),
-      gen_(seed) {
+    : loads_(zeroed_vector<bin_load>(n)), threshold_(threshold),
+      max_probes_(max_probes), gen_(seed) {
     KD_EXPECTS(n >= 1);
     KD_EXPECTS_MSG(max_probes >= 1, "a ball must probe at least once");
 }

@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "rng/uniform.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::core {
 
 kd_choice_process::kd_choice_process(std::uint64_t n, std::uint64_t k,
                                      std::uint64_t d, std::uint64_t seed)
-    : kd_choice_process(load_vector(n, 0), k, d, seed) {}
+    : kd_choice_process(zeroed_vector<bin_load>(n), k, d, seed) {}
 
 kd_choice_process::kd_choice_process(load_vector initial_loads,
                                      std::uint64_t k, std::uint64_t d,
@@ -90,7 +91,7 @@ void kd_choice_process::run_balls(std::uint64_t balls) {
 
 single_choice_process::single_choice_process(std::uint64_t n,
                                              std::uint64_t seed)
-    : loads_(n, 0), gen_(seed), probe_draws_(n) {
+    : loads_(zeroed_vector<bin_load>(n)), gen_(seed), probe_draws_(n) {
     KD_EXPECTS(n >= 1);
 }
 
@@ -105,7 +106,7 @@ void single_choice_process::run_balls(std::uint64_t balls) {
 
 d_choice_process::d_choice_process(std::uint64_t n, std::uint64_t d,
                                    std::uint64_t seed)
-    : loads_(n, 0), d_(d), gen_(seed), probe_draws_(n) {
+    : loads_(zeroed_vector<bin_load>(n)), d_(d), gen_(seed), probe_draws_(n) {
     KD_EXPECTS(d >= 1);
     KD_EXPECTS(d <= n);
 }

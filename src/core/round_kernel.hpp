@@ -33,6 +33,7 @@
 #include "core/types.hpp"
 #include "rng/uniform.hpp"
 #include "support/contracts.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::core {
 
@@ -141,7 +142,7 @@ void place_round(load_vector& loads, std::span<const std::uint32_t> samples,
     // n >> d^2 they are rare, so detect them in O(d) with epoch stamps and
     // only take the radix-group path when one exists.
     if (scratch.stamps.size() < loads.size()) {
-        scratch.stamps.assign(loads.size(), 0);
+        scratch.stamps = zeroed_vector<std::uint32_t>(loads.size());
         scratch.epoch = 0;
     }
     if (++scratch.epoch == 0) { // stamp wrap-around: clear and restart

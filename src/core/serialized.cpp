@@ -4,6 +4,8 @@
 #include <memory>
 #include <numeric>
 
+#include "support/huge_pages.hpp"
+
 namespace kdc::core {
 
 namespace {
@@ -53,8 +55,8 @@ sigma_schedule fixed_schedule(std::vector<std::uint32_t> sigma) {
 serialized_process::serialized_process(std::uint64_t n, std::uint64_t k,
                                        std::uint64_t d, std::uint64_t seed,
                                        sigma_schedule schedule)
-    : loads_(n, 0), k_(k), d_(d), schedule_(std::move(schedule)), gen_(seed),
-      probe_draws_(n) {
+    : loads_(zeroed_vector<bin_load>(n)), k_(k), d_(d),
+      schedule_(std::move(schedule)), gen_(seed), probe_draws_(n) {
     KD_EXPECTS_MSG(k >= 1 && k < d && d <= n, "requires 1 <= k < d <= n");
     KD_EXPECTS_MSG(static_cast<bool>(schedule_), "schedule must be callable");
     sample_buffer_.resize(d);

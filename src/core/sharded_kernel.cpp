@@ -11,6 +11,7 @@
 #include "core/process.hpp"
 #include "core/thread_pool.hpp"
 #include "rng/xoshiro_skip.hpp"
+#include "support/huge_pages.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -259,7 +260,8 @@ sharded_kd_process::sharded_kd_process(std::uint64_t n, std::uint64_t k,
                                        std::uint64_t d, std::uint64_t seed,
                                        std::uint64_t shards,
                                        std::uint64_t selpar)
-    : sharded_kd_process(load_vector(n, 0), k, d, seed, shards, selpar) {}
+    : sharded_kd_process(zeroed_vector<bin_load>(n), k, d, seed, shards,
+                         selpar) {}
 
 sharded_kd_process::sharded_kd_process(load_vector initial_loads,
                                        std::uint64_t k, std::uint64_t d,
@@ -277,7 +279,7 @@ sharded_kd_process::sharded_kd_process(load_vector initial_loads,
     KD_EXPECTS_MSG(d <= (std::uint64_t{1} << 31),
                    "slot indices and packed candidates are 32-bit");
     max_chunk_rounds_ = resolve_chunk_rounds(loads_.size(), d_);
-    bin_state_.resize(loads_.size());
+    bin_state_ = zeroed_vector<std::uint64_t>(loads_.size());
     for (std::size_t bin = 0; bin < loads_.size(); ++bin) {
         KD_EXPECTS_MSG(loads_[bin] < conflict_flag,
                        "bin load exceeds 2^31 - 1");

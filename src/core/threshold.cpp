@@ -1,12 +1,14 @@
 #include "core/threshold.hpp"
 
 #include "rng/uniform.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::core {
 
 sa_threshold_process::sa_threshold_process(std::uint64_t n, std::uint64_t x0,
                                            std::uint64_t seed)
-    : loads_(n, 0), x0_(x0), bins_at_load_(8), gen_(seed) {
+    : loads_(zeroed_vector<bin_load>(n)), x0_(x0), bins_at_load_(8),
+      gen_(seed) {
     KD_EXPECTS(n >= 1);
     KD_EXPECTS_MSG(x0 <= n, "rank threshold cannot exceed the bin count");
     bins_at_load_.add(0, static_cast<std::int64_t>(n));

@@ -13,6 +13,7 @@
 #include "rng/uniform.hpp"
 #include "support/cli.hpp"
 #include "support/crc32.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::core {
 
@@ -47,7 +48,8 @@ weight_distribution pareto_weights(double shape, double x_min) {
 weighted_kd_process::weighted_kd_process(std::uint64_t n, std::uint64_t k,
                                          std::uint64_t d, std::uint64_t seed,
                                          weight_distribution weights)
-    : loads_(n, 0.0), k_(k), d_(d), weights_(std::move(weights)), gen_(seed) {
+    : loads_(zeroed_vector<double>(n)), k_(k), d_(d),
+      weights_(std::move(weights)), gen_(seed) {
     KD_EXPECTS_MSG(k >= 1 && k < d && d <= n, "requires 1 <= k < d <= n");
     KD_EXPECTS_MSG(static_cast<bool>(weights_),
                    "weight distribution must be callable");

@@ -12,6 +12,7 @@
 
 #include "rng/uniform.hpp"
 #include "support/contracts.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::rng {
 
@@ -162,7 +163,7 @@ void sample_without_replacement(G& gen, std::uint64_t n,
     const std::uint64_t count = out.size();
     KD_EXPECTS(count <= n);
     if (scratch.stamps.size() < n) {
-        scratch.stamps.assign(n, 0);
+        scratch.stamps = zeroed_vector<std::uint32_t>(n);
         scratch.epoch = 0;
     }
     if (++scratch.epoch == 0) { // stamp wrap-around: clear and restart

@@ -10,6 +10,7 @@
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "support/contracts.hpp"
+#include "support/huge_pages.hpp"
 
 namespace kdc::serve {
 
@@ -41,7 +42,7 @@ void prefetch(const void* address) {
 
 dispatcher::dispatcher(const dispatcher_config& config,
                        core::thread_pool* /*pool*/)
-    : config_(config), loads_(config.bins, 0),
+    : config_(config), loads_(zeroed_vector<core::bin_load>(config.bins)),
       tape_size_((config.mode == probing::batch ? 1 : config.k) * config.d),
       kept_(config.k) {
     KD_EXPECTS_MSG(config.bins >= 1 && config.k >= 1 && config.d >= 1,

@@ -179,6 +179,12 @@ void place_round(load_vector& loads, std::span<const std::uint32_t> samples,
                          static_cast<std::uint64_t>(gen()), slot);
         }
     } else {
+        // The stamp loop stopped at the first duplicate, so the samples
+        // after it are unchecked: check them before the sort and the loads
+        // read them.
+        for (const std::uint32_t bin : samples) {
+            KD_EXPECTS(bin < loads.size());
+        }
         // Group duplicates so each occurrence gets its own slot height.
         auto& sorted = scratch.sorted_samples;
         sorted.assign(samples.begin(), samples.end());

@@ -238,6 +238,15 @@ TEST(RoundKernel, ContractViolations) {
     const std::vector<std::uint32_t> out_of_range{0, 9};
     EXPECT_THROW(place_round(loads, out_of_range, 1, gen, scratch),
                  kdc::contract_violation);
+    // An out-of-range sample after a duplicate: the duplicate path must
+    // range-check it before it reads the load.
+    const std::vector<std::uint32_t> past_end_after_duplicate{0, 0, 4};
+    EXPECT_THROW(place_round(loads, past_end_after_duplicate, 3, gen, scratch),
+                 kdc::contract_violation);
+    const std::vector<std::uint32_t> far_after_duplicate{0, 0, 9};
+    EXPECT_THROW(place_round(loads, far_after_duplicate, 1, gen, scratch),
+                 kdc::contract_violation);
+    EXPECT_EQ(loads, load_vector(4, 0));
 }
 
 TEST(RoundKernel, EpochWrapAroundStillDetectsDuplicates) {

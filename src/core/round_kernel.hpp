@@ -151,15 +151,17 @@ void place_round(load_vector& loads, std::span<const std::uint32_t> samples,
     }
     const std::uint32_t epoch = scratch.epoch;
     std::uint32_t* const stamps = scratch.stamps.data();
-    bool has_duplicates = false;
-    for (const std::uint32_t bin : samples) {
+    std::size_t first_duplicate = samples.size();
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const std::uint32_t bin = samples[i];
         KD_EXPECTS(bin < loads.size());
         if (stamps[bin] == epoch) {
-            has_duplicates = true;
+            first_duplicate = i;
             break;
         }
         stamps[bin] = epoch;
     }
+    const bool has_duplicates = first_duplicate < samples.size();
 
     // Keep the k smallest slots in one pass over the slots in slot order,
     // drawing each slot's key as it is offered (the generator is consumed
@@ -182,7 +184,7 @@ void place_round(load_vector& loads, std::span<const std::uint32_t> samples,
         // The stamp loop stopped at the first duplicate, so the samples
         // after it are unchecked: check them before the sort and the loads
         // read them.
-        for (const std::uint32_t bin : samples) {
+        for (const std::uint32_t bin : samples.subspan(first_duplicate + 1)) {
             KD_EXPECTS(bin < loads.size());
         }
         // Group duplicates so each occurrence gets its own slot height.

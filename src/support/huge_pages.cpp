@@ -11,7 +11,7 @@ namespace kdc {
 
 void advise_huge_pages(const void* data, std::size_t bytes) noexcept {
 #ifdef MADV_HUGEPAGE
-    if (data == nullptr || bytes < huge_page_min_bytes) {
+    if (bytes < huge_page_min_bytes) {
         return;
     }
     const long page_size = ::sysconf(_SC_PAGESIZE);

@@ -16,16 +16,15 @@
 //
 //   ./weighted_gap [--n=65536] [--rounds-factor=4] [--reps=5] [--threads=0]
 //                  [--csv] [--adaptive --ci-width=0.4 --max-reps=40]
-//                  [--scenario "weighted:n=...,kernel=level,metric=gap"]
+//                  [--scenario "weighted:n=...,metric=gap"]
 //
 // --scenario (core/scenario.hpp) must stay in the weighted family (write
-// `weighted:` or no prefix) and sets the shared knobs: n, the simulation
-// kernel (kernel=level runs every cell on the level-compressed
-// weighted_kd_level_process — the weighted process is exchangeable too,
-// so its weight-load multiset is lossless state) and the monitored metric
-// for --adaptive (metric=gap suits this bench; the default is the
-// weighted max load). The weight-distribution grid itself stays richer
-// than the scenario skew knob on purpose.
+// `weighted:` or no prefix) and sets the shared knobs: n and the monitored
+// metric for --adaptive (metric=gap suits this bench; the default is the
+// weighted max load). The family has one kernel, the per-bin
+// weighted_kd_process, so kernel=perbin and kernel=auto print the same
+// bytes and kernel=level is refused. The weight-distribution grid itself
+// stays richer than the scenario skew knob on purpose.
 #include <cstddef>
 #include <iostream>
 #include <vector>
@@ -79,7 +78,6 @@ int main(int argc, char** argv) {
                              "' (write weighted:... or omit the prefix)");
     }
     const auto n = merged.n;
-    const auto kernel = kdc::core::resolve_kernel(merged);
     const auto metric = merged.metric;
 
     struct weight_case {
@@ -129,21 +127,13 @@ int main(int argc, char** argv) {
     auto& pool = kdc::core::persistent_pool(args.get_threads());
     const auto grid = kdc::core::run_engine_grid<rep_observation>(
         pool, reps_per_cell,
-        [&grid_cells, n, factor, kernel](std::size_t c, std::uint32_t rep) {
+        [&grid_cells, n, factor](std::size_t c, std::uint32_t rep) {
             const auto& cell = grid_cells[c];
             const auto rep_seed =
                 kdc::rng::derive_seed(cell.rep_masters[rep], rep);
-            const auto rounds = factor * n / cell.kd.k;
-            if (kernel == kdc::core::kernel_kind::level) {
-                kdc::core::weighted_kd_level_process process(
-                    n, cell.kd.k, cell.kd.d, rep_seed, cell.weights->dist);
-                process.run_rounds(rounds);
-                return rep_observation{process.gap(), process.max_load(),
-                                       process.messages()};
-            }
             kdc::core::weighted_kd_process process(
                 n, cell.kd.k, cell.kd.d, rep_seed, cell.weights->dist);
-            process.run_rounds(rounds);
+            process.run_rounds(factor * n / cell.kd.k);
             return rep_observation{process.gap(), process.max_load(),
                                    process.messages()};
         },

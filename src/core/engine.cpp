@@ -81,8 +81,7 @@ cell_plan resolve_cell_plan(const stopping_rule& rule,
     // that simply runs to the cap without ever deciding.
     floor = std::max<std::uint32_t>(floor, 2);
     plan.first_chunk = std::min(floor, plan.max_reps);
-    plan.chunk = rule.chunk_reps != 0 ? rule.chunk_reps
-                                      : std::max<std::uint32_t>(1, floor / 2);
+    plan.chunk = std::max<std::uint32_t>(1, floor / 2);
     return plan;
 }
 

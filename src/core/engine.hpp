@@ -63,9 +63,10 @@ enum class stopping_mode {
 };
 
 /// The pluggable stopping rule. Zero-valued fields mean "use the default":
-/// min_reps 0 -> 3, max_reps 0 -> the cell's configured repetition count,
-/// chunk_reps 0 -> max(1, min_reps / 2). All fields are ignored under
-/// fixed_reps except mode itself.
+/// min_reps 0 -> 3, max_reps 0 -> the cell's configured repetition count.
+/// After the first min_reps, an adaptive cell schedules max(1, min_reps / 2)
+/// reps per chunk. All fields are ignored under fixed_reps except mode
+/// itself.
 struct stopping_rule {
     stopping_mode mode = stopping_mode::fixed_reps;
     /// confidence_width: stop once the Student-t CI half-width of the
@@ -81,7 +82,6 @@ struct stopping_rule {
     double confidence = 0.95;
     std::uint32_t min_reps = 0;   ///< floor before any stop decision (>= 2)
     std::uint32_t max_reps = 0;   ///< hard cap; 0 = the cell's configured reps
-    std::uint32_t chunk_reps = 0; ///< reps scheduled per adaptive chunk
 };
 
 /// Convenience factories for the two modes.

@@ -55,7 +55,7 @@ enum class fault_site : std::uint8_t {
     resume_load,        ///< snapshot stage: before reading --resume bytes
     resume_validate,    ///< snapshot stage: before validating the profile
     steady_pilot,       ///< steady state: before each warmup=ff pilot sim
-    perbin_alloc,       ///< make_process: before a per-bin state allocation
+    perbin_alloc,       ///< make_process, sweep cells: before per-bin state
     serve_accept,       ///< dispatcher: on accepting a batch from the channel
     serve_batch,        ///< dispatcher: before a batch is served
     count_              ///< sentinel, not a site

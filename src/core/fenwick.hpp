@@ -80,8 +80,8 @@ public:
             const std::size_t next = pos + step;
 #if defined(__GNUC__) || defined(__clang__)
             // The descent's next probe is one of two known positions; issue
-            // both loads early so large trees (weight_profile over many
-            // distinct weights) overlap the memory latency with the compare.
+            // both loads early so large trees overlap the memory latency
+            // with the compare.
             const std::size_t half = step >> 1;
             if (half > 0) {
                 const std::size_t last = tree_.size() - 1;

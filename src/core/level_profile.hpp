@@ -146,10 +146,10 @@ struct level_state {
 /// Reads a whole CRC-trailed snapshot stream (format v2's shared envelope:
 /// arbitrary text body followed by a final "crc32 <8 hex>" line), verifies
 /// the trailer against the body, and returns the body. Shared by
-/// level_profile::load, weight_profile::load and the snapshot-stage
-/// journal. Throws cli_error — prefixed with `what` — when the trailer is
-/// missing or malformed or the CRC does not match (which catches every
-/// single-byte corruption and every truncation before parsing starts).
+/// level_profile::load and the snapshot-stage journal. Throws cli_error —
+/// prefixed with `what` — when the trailer is missing or malformed or the
+/// CRC does not match (which catches every single-byte corruption and every
+/// truncation before parsing starts).
 [[nodiscard]] std::string checked_snapshot_body(std::istream& in,
                                                 const char* what);
 

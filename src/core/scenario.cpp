@@ -209,12 +209,8 @@ any_process make_greedy(const scenario& sc, kernel_kind,
     return any_process(batched_greedy_process(sc.n, sc.k, sc.d, seed));
 }
 
-any_process make_weighted(const scenario& sc, kernel_kind kernel,
+any_process make_weighted(const scenario& sc, kernel_kind,
                           std::uint64_t seed) {
-    if (kernel == kernel_kind::level) {
-        return any_process(weighted_kd_level_process(sc.n, sc.k, sc.d, seed,
-                                                     skew_weights(sc.skew)));
-    }
     return any_process(
         weighted_kd_process(sc.n, sc.k, sc.d, seed, skew_weights(sc.skew)));
 }
@@ -252,7 +248,8 @@ constexpr family_info families[] = {
     {"single", true, false, 0, make_single},
     {"threshold", false, false, reads_threshold | reads_cap,
      make_threshold},
-    {"weighted", true, false, reads_k | reads_d | reads_skew, make_weighted},
+    {"weighted", false, false, reads_k | reads_d | reads_skew,
+     make_weighted},
 };
 
 /// nullptr when no family has that name.
@@ -599,8 +596,8 @@ void validate_scenario(const scenario& sc) {
                         "replacement=with; families: " +
                         family_names(true) + ")");
     }
-    // warmup=ff support (level kernel, known steady-state shape) is
-    // plan_fast_forward's job — its cli_errors surface at parse time too.
+    // warmup=ff support (a level kernel) is plan_fast_forward's job — its
+    // cli_errors surface at parse time too.
     if (sc.warmup == warmup_mode::fast_forward) {
         (void)plan_fast_forward(sc);
     }
@@ -667,6 +664,41 @@ repetition_result to_repetition_result(const process_observation& obs) {
 // Factories and runners
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Builds one repetition's process for a validated scenario on its
+/// resolved kernel — the one build path of make_process and of the sweep
+/// cells. A per-bin build passes the perbin.alloc fault site.
+any_process build_process(const scenario& sc, const family_info& family,
+                          kernel_kind kernel, std::uint64_t seed) {
+    if (kernel != kernel_kind::per_bin) {
+        return family.make(sc, kernel, seed);
+    }
+    try {
+        fault_point(fault_site::perbin_alloc);
+        return family.make(sc, kernel, seed);
+    } catch (const std::bad_alloc&) {
+        // Graceful degradation: the per-bin kernel's O(n) state is the
+        // only allocation that scales with n, and the level kernel
+        // simulates the SAME distribution whenever the policy has one,
+        // probes are with replacement and par=rep (there is no
+        // round-parallel level kernel). Fall back instead of dying;
+        // anything else (or a second failure) propagates.
+        if (!family.supports_level ||
+            sc.replacement != probe_mode::with_replacement ||
+            sc.par != par_mode::rep) {
+            throw;
+        }
+        std::cerr << "make_process: per-bin state allocation failed for "
+                     "n=" << sc.n
+                  << "; degrading to the level kernel (same "
+                     "distribution, O(max load) state)\n";
+        return family.make(sc, kernel_kind::level, seed);
+    }
+}
+
+} // namespace
+
 any_process make_process(const scenario& sc, std::uint64_t seed) {
     validate_scenario(sc);
     if (sc.warmup == warmup_mode::fast_forward) {
@@ -676,30 +708,7 @@ any_process make_process(const scenario& sc, std::uint64_t seed) {
         return any_process(
             fast_forwarded_process(sc, plan_fast_forward(sc), seed));
     }
-    const kernel_kind kernel = resolve_kernel(sc);
-    const family_info& family = family_of(sc);
-    if (kernel == kernel_kind::per_bin) {
-        try {
-            fault_point(fault_site::perbin_alloc);
-            return family.make(sc, kernel, seed);
-        } catch (const std::bad_alloc&) {
-            // Graceful degradation: the per-bin kernel's O(n) state is the
-            // only allocation that scales with n, and the level kernel
-            // simulates the SAME distribution whenever the policy has one
-            // and probes are with replacement. Fall back instead of dying;
-            // anything else (or a second failure) propagates.
-            if (!family.supports_level ||
-                sc.replacement != probe_mode::with_replacement) {
-                throw;
-            }
-            std::cerr << "make_process: per-bin state allocation failed for "
-                         "n=" << sc.n
-                      << "; degrading to the level kernel (same "
-                         "distribution, O(max load) state)\n";
-            return family.make(sc, kernel_kind::level, seed);
-        }
-    }
-    return family.make(sc, kernel, seed);
+    return build_process(sc, family_of(sc), resolve_kernel(sc), seed);
 }
 
 repetition_result run_scenario_repetition(const scenario& sc,
@@ -781,9 +790,9 @@ sweep_cell make_scenario_cell(std::string name, const scenario& sc,
     // Repetition jobs already saturate the pool, so a par=round cell runs
     // its sharded phases inline on the owning worker — the output is
     // byte-identical either way (that is the sharded kernel's contract).
-    cell.run_rep = [sc, kernel, make = family_of(sc).make,
+    cell.run_rep = [sc, kernel, family = &family_of(sc),
                     balls = config.balls](std::uint64_t derived_seed) {
-        auto process = make(sc, kernel, derived_seed);
+        auto process = build_process(sc, *family, kernel, derived_seed);
         process.run_balls(balls);
         return to_repetition_result(process.observe());
     };

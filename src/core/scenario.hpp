@@ -14,9 +14,9 @@
 // One string grammar (`family:key=value,key=value,...`), one fixed POLICY
 // TABLE (scenario.cpp) saying what each family builds and which keys it
 // reads, and one `make_process` factory that dispatches to the right
-// simulation kernel — including the level-compressed weighted and
-// (1+beta) kernels — with `kernel=auto` picking the level kernel whenever
-// the family supports it.
+// simulation kernel — including the level-compressed (1+beta) kernel —
+// with `kernel=auto` picking the level kernel whenever the family supports
+// it.
 //
 // Grammar
 // -------
@@ -217,15 +217,6 @@ concept weight_per_bin_observable = requires(const P cp) {
     { cp.gap() } -> std::convertible_to<double>;
 };
 
-/// A weighted process on the level-compressed weight_profile state
-/// (core/weighted.hpp's weighted_kd_level_process).
-template <typename P>
-concept weight_level_observable = requires(const P cp) {
-    cp.profile().to_sorted_weights();
-    { cp.max_load() } -> std::convertible_to<double>;
-    { cp.gap() } -> std::convertible_to<double>;
-};
-
 /// A process that assembles its own process_observation — wrappers over
 /// other processes (the warmup=ff fast_forwarded_process, which must fold
 /// the skipped warmup into the inner kernel's counters). Checked before
@@ -307,10 +298,6 @@ process_observation any_process::model<P>::observe() const {
             obs.max_load = static_cast<double>(m.max_load);
             obs.gap = m.gap;
             obs.empty_bins = m.empty_bins;
-        } else if constexpr (weight_level_observable<P>) {
-            obs.max_load = self.max_load();
-            obs.gap = self.gap();
-            obs.empty_bins = self.profile().bins_at(0.0);
         } else {
             static_assert(weight_per_bin_observable<P>,
                           "any_process needs loads()/profile() "
@@ -337,8 +324,6 @@ std::vector<double> any_process::model<P>::sorted_loads() const {
     } else if constexpr (level_observable<P>) {
         const auto sorted = self.profile().to_sorted_loads();
         return std::vector<double>(sorted.begin(), sorted.end());
-    } else if constexpr (weight_level_observable<P>) {
-        return self.profile().to_sorted_weights();
     } else {
         static_assert(weight_per_bin_observable<P>,
                       "any_process needs loads()/profile() observability");
@@ -377,8 +362,10 @@ run_scenario_experiment(const scenario& sc, const experiment_config& config);
 run_scenario_experiment(const scenario& sc, const experiment_config& config,
                         thread_pool& pool);
 
-/// A sweep cell whose repetitions run `sc` (core/sweep.hpp). The cell's
-/// monitored metric is sc.metric; config.balls = 0 means resolved_balls.
+/// A sweep cell whose repetitions run `sc` (core/sweep.hpp), each built as
+/// make_process builds it (perbin.alloc fault site and level fallback
+/// included) without validating again. The cell's monitored metric is
+/// sc.metric; config.balls = 0 means resolved_balls.
 [[nodiscard]] sweep_cell make_scenario_cell(std::string name,
                                             const scenario& sc,
                                             experiment_config config);

@@ -175,13 +175,10 @@ ff_plan plan_fast_forward(const scenario& sc) {
         plan.policy = ff_plan::policy_kind::single;
     } else if (sc.family == "dchoice") {
         plan.policy = ff_plan::policy_kind::dchoice;
-    } else if (sc.family == "one_plus_beta") {
-        plan.policy = ff_plan::policy_kind::one_plus_beta;
     } else {
-        throw cli_error(
-            "warmup=ff knows the steady-state shape of the 'kd', 'single', "
-            "'dchoice' and 'one_plus_beta' policies only, got policy '" +
-            sc.family + "'");
+        // Only these four families have a level kernel to resolve to.
+        KD_ASSERT(sc.family == "one_plus_beta");
+        plan.policy = ff_plan::policy_kind::one_plus_beta;
     }
     return plan;
 }

@@ -63,9 +63,9 @@ struct ff_plan {
 
 /// Resolves the scenario's fast-forward plan, throwing cli_error with a
 /// precise message when warmup=ff is unsupported: the scenario must resolve
-/// to kernel=level with with-replacement probes, and the resolved policy
-/// must be one of 'kd', 'single', 'dchoice' or 'one_plus_beta' (the
-/// policies whose steady-state shape the synthesis knows).
+/// to kernel=level with with-replacement probes, which leaves the
+/// level-capable policies 'kd', 'single', 'dchoice' and 'one_plus_beta' —
+/// exactly the ones whose steady-state shape the synthesis knows.
 [[nodiscard]] ff_plan plan_fast_forward(const scenario& sc);
 
 /// Tuning knobs of the profile synthesis; the defaults are what warmup=ff

@@ -18,12 +18,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
-#include "core/fenwick.hpp"
-#include "rng/sampling.hpp"
 #include "rng/xoshiro256ss.hpp"
 #include "support/contracts.hpp"
 
@@ -48,150 +45,7 @@ using weight_distribution = std::function<double(rng::xoshiro256ss&)>;
 /// finite mean).
 [[nodiscard]] weight_distribution pareto_weights(double shape, double x_min);
 
-/// Level-compressed state for the weighted process: the multiset of bin
-/// weight loads, as counts per DISTINCT load value. The weighted process is
-/// exchangeable over bins just like the unweighted one, so this multiset is
-/// a lossless view of the state; "pick a uniform bin and observe its weight
-/// load" is an O(log D) Fenwick walk over the D distinct values.
-///
-/// Unlike the integer level_profile, D is not bounded by the max load:
-/// continuous weights generically give every non-empty bin its own value,
-/// so the state is O(min(n, placements)) — genuinely compressed for unit /
-/// discrete weights and in the early phase, and never worse than per-bin
-/// asymptotically. Values are arena-indexed (slot order is creation order);
-/// the sorted map only serves exact lookup and ordered traversal.
-class weight_profile {
-public:
-    /// n bins, all at weight 0.0. Requires n >= 1.
-    explicit weight_profile(std::uint64_t n);
-
-    /// Total bins, including any currently extracted ones.
-    [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
-
-    /// Bins currently in the sampling population.
-    [[nodiscard]] std::uint64_t remaining_bins() const {
-        return counts_.total();
-    }
-
-    /// Summed weight load of the non-extracted bins.
-    [[nodiscard]] double total_weight() const noexcept {
-        return total_weight_;
-    }
-
-    /// The weight load of the bin with the given rank: uniform `rank` in
-    /// [0, remaining_bins()) observes a uniform random bin's load.
-    [[nodiscard]] double value_at_rank(std::uint64_t rank) const {
-        return values_[counts_.find_kth(rank)];
-    }
-
-    /// Number of (non-extracted) bins at exactly `value`.
-    [[nodiscard]] std::uint64_t bins_at(double value) const;
-
-    /// Removes one bin at `value` from the sampling population. Requires
-    /// bins_at(value) >= 1.
-    void extract_value(double value);
-
-    /// Returns one bin to the population at `value` (a fresh value
-    /// allocates a slot; merging onto an existing value just counts up).
-    void insert_value(double value);
-
-    /// Largest weight load held by any bin. Requires no bin extracted.
-    [[nodiscard]] double max_load() const;
-
-    /// max_load() - total_weight() / n. Requires no bin extracted.
-    [[nodiscard]] double gap() const;
-
-    /// The sorted (descending) weight-load vector this profile represents —
-    /// O(n) output for small-n verification. Requires no bin extracted.
-    [[nodiscard]] std::vector<double> to_sorted_weights() const;
-
-    /// Writes a text snapshot ("kdc-weight-profile 1", n and the distinct
-    /// value count, one "<value> <count>" row per distinct weight load in
-    /// ascending value order at max_digits10 precision, then the shared
-    /// "crc32 <hex>" trailer). Doubles round-trip exactly. Requires no bin
-    /// extracted. See docs/robustness.md.
-    void save(std::ostream& out) const;
-
-    /// Reconstructs a profile from a save() snapshot. CRC-gated before
-    /// parsing (every single-byte corruption or truncation is rejected);
-    /// throws cli_error with a precise message on bad magic/version,
-    /// malformed rows, out-of-order or repeated values, or counts that do
-    /// not sum to n.
-    [[nodiscard]] static weight_profile load(std::istream& in);
-
-private:
-    std::vector<double> values_;           ///< arena: slot -> value
-    fenwick_tree counts_;                  ///< slot -> bins at that value
-    std::map<double, std::size_t> index_;  ///< value -> slot, sorted
-    std::vector<std::size_t> free_slots_;  ///< slots whose count hit zero
-    std::uint64_t n_ = 0;
-    double total_weight_ = 0.0;
-};
-
-/// Weighted (k,d)-choice on the weight_profile state. Distributionally
-/// identical to weighted_kd_process (verified by two-sample KS tests in the
-/// suite) from a different RNG stream. The with-replacement probe step uses
-/// the same exact collision simulation as the unweighted level kernel: with
-/// j distinct bins probed so far, one uniform draw v in [0, n) duplicates
-/// distinct probe v when v < j and otherwise extracts a fresh bin of rank
-/// v - j from the remaining profile.
-class weighted_kd_level_process {
-public:
-    weighted_kd_level_process(std::uint64_t n, std::uint64_t k,
-                              std::uint64_t d, std::uint64_t seed,
-                              weight_distribution weights);
-
-    void run_round();
-    void run_rounds(std::uint64_t rounds);
-    /// Places `balls` balls (must be a multiple of k: whole rounds).
-    void run_balls(std::uint64_t balls);
-
-    [[nodiscard]] const weight_profile& profile() const noexcept {
-        return profile_;
-    }
-    [[nodiscard]] std::uint64_t balls_placed() const noexcept {
-        return balls_placed_;
-    }
-    [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
-    [[nodiscard]] double total_weight() const noexcept {
-        return profile_.total_weight();
-    }
-    [[nodiscard]] std::uint64_t n() const noexcept { return profile_.n(); }
-    [[nodiscard]] std::uint64_t k() const noexcept { return k_; }
-    [[nodiscard]] std::uint64_t d() const noexcept { return d_; }
-
-    [[nodiscard]] double max_load() const { return profile_.max_load(); }
-    [[nodiscard]] double gap() const { return profile_.gap(); }
-
-private:
-    /// One distinct bin probed this round: its pre-round weight load, its
-    /// running load as the greedy matching assigns balls, and how many of
-    /// the d probes hit it (its slot count under the multiplicity rule).
-    struct distinct_probe {
-        double value = 0.0;
-        double current = 0.0;
-        std::uint32_t multiplicity = 0;
-    };
-    /// One candidate slot: owning distinct probe + random tie key.
-    struct slot {
-        std::uint64_t tie_key = 0;
-        std::uint32_t probe = 0;
-    };
-
-    weight_profile profile_;
-    std::uint64_t k_;
-    std::uint64_t d_;
-    std::uint64_t balls_placed_ = 0;
-    std::uint64_t messages_ = 0;
-    weight_distribution weights_;
-    std::vector<double> weight_buffer_;
-    std::vector<distinct_probe> distinct_;
-    std::vector<slot> slots_;
-    std::vector<char> slot_used_;
-    rng::xoshiro256ss gen_;
-    rng::batched_uniform probe_draws_;
-};
-
+/// The weighted (k,d)-choice process on per-bin double loads.
 class weighted_kd_process {
 public:
     weighted_kd_process(std::uint64_t n, std::uint64_t k, std::uint64_t d,

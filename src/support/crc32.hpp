@@ -1,8 +1,8 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum behind the
-// snapshot trailers (core/level_profile.hpp, core/weighted.hpp,
-// core/snapshot_stage.cpp). A 32-bit CRC detects every burst error up to 32
-// bits long, so in particular EVERY single-byte corruption of a snapshot is
-// caught by the trailer check before any field is parsed.
+// snapshot trailers (core/level_profile.hpp, core/snapshot_stage.cpp). A
+// 32-bit CRC detects every burst error up to 32 bits long, so in particular
+// EVERY single-byte corruption of a snapshot is caught by the trailer check
+// before any field is parsed.
 #pragma once
 
 #include <array>

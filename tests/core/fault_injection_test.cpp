@@ -15,6 +15,7 @@
 
 #include "core/scenario.hpp"
 #include "core/sharded_kernel.hpp"
+#include "core/sweep.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -193,6 +194,58 @@ TEST_F(FaultInjection, MakeProcessRethrowsWhenNoLevelFallbackExists) {
     sc.family = "greedy";
     arm_faults(fault_plan::parse("perbin.alloc:alloc_fail@1"));
     EXPECT_THROW((void)kdc::core::make_process(sc, 5), std::bad_alloc);
+
+    // par=round has no level kernel either: the sharded per-bin build is
+    // not retried under a level label.
+    sc.family = "kd";
+    sc.par = kdc::core::par_mode::round;
+    arm_faults(fault_plan::parse("perbin.alloc:alloc_fail@1"));
+    EXPECT_THROW((void)kdc::core::make_process(sc, 5), std::bad_alloc);
+}
+
+/// A three-rep, one-worker sweep of `sc` with `plan` armed for its run.
+/// At this seed the kd kernels' first reps differ in empty bins (at seed 8
+/// they happen to agree).
+std::vector<kdc::core::repetition_result>
+swept_reps(const kdc::core::scenario& sc, const char* plan) {
+    const auto cell = kdc::core::make_scenario_cell(
+        "cell", sc, {.balls = 4096, .reps = 3, .seed = 9});
+    if (plan != nullptr) {
+        arm_faults(fault_plan::parse(plan));
+    }
+    kdc::core::sweep_options options;
+    options.threads = 1;
+    auto outcomes = kdc::core::run_sweep({cell}, options);
+    disarm_faults();
+    return std::move(outcomes[0].result.reps);
+}
+
+TEST_F(FaultInjection, SweepCellDegradesPerbinToLevelOnAllocFail) {
+    // Sweep cells build through the same path as make_process: the first
+    // rep hits the armed site and runs on the level kernel, the rest stay
+    // per-bin.
+    auto sc = kdc::core::parse_scenario("kd:n=4096,k=2,d=4,kernel=perbin");
+    const auto faulted = swept_reps(sc, "perbin.alloc:alloc_fail@1");
+    const auto perbin = swept_reps(sc, nullptr);
+    sc.kernel = kdc::core::kernel_choice::level;
+    const auto level = swept_reps(sc, nullptr);
+    const auto same = [](const kdc::core::repetition_result& a,
+                         const kdc::core::repetition_result& b) {
+        return a.max_load == b.max_load && a.gap == b.gap &&
+               a.empty_bins == b.empty_bins;
+    };
+    ASSERT_EQ(faulted.size(), 3u);
+    EXPECT_TRUE(same(faulted[0], level[0]));
+    EXPECT_FALSE(same(faulted[0], perbin[0]));
+    for (std::size_t rep = 1; rep < faulted.size(); ++rep) {
+        EXPECT_TRUE(same(faulted[rep], perbin[rep])) << rep;
+    }
+}
+
+TEST_F(FaultInjection, SweepCellRethrowsWhenNoLevelFallbackExists) {
+    const auto sc = kdc::core::parse_scenario("greedy:n=4096,k=2,d=4");
+    EXPECT_THROW((void)swept_reps(sc, "perbin.alloc:alloc_fail@1"),
+                 std::bad_alloc);
 }
 
 TEST_F(FaultInjection, ShardedKernelPropagatesInjectedIoErrors) {

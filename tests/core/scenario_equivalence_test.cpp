@@ -1,13 +1,12 @@
 // The behavioural contract of the scenario API: cells and experiments
 // built from scenarios are BYTE-identical to hand-written factories for
-// equivalent settings, and the new level-compressed weighted / (1+beta)
-// kernels are distributionally identical to their per-bin counterparts
-// (two-sample KS at n = 10^4).
+// equivalent settings, and the level-compressed (1+beta) kernel is
+// distributionally identical to its per-bin counterpart (two-sample KS at
+// n = 10^4).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -17,7 +16,6 @@
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
 #include "core/thread_pool.hpp"
-#include "core/weighted.hpp"
 #include "rng/splitmix64.hpp"
 #include "stats/hypothesis.hpp"
 
@@ -143,85 +141,8 @@ TEST(ScenarioEquivalence, WithoutReplacementReachesThePerBinProcess) {
 }
 
 // ---------------------------------------------------------------------------
-// KS equivalence of the NEW level-compressed kernels vs per-bin, n = 10^4.
+// KS equivalence of the (1+beta) level kernel vs per-bin, n = 10^4.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-template <typename Factory>
-std::pair<std::vector<double>, std::vector<double>>
-collect_max_and_gap(Factory factory, std::uint64_t balls, int reps,
-                    std::uint64_t seed_base) {
-    std::vector<double> max_loads;
-    std::vector<double> gaps;
-    max_loads.reserve(static_cast<std::size_t>(reps));
-    gaps.reserve(static_cast<std::size_t>(reps));
-    for (int rep = 0; rep < reps; ++rep) {
-        auto process =
-            factory(kdc::rng::derive_seed(seed_base,
-                                          static_cast<std::uint32_t>(rep)));
-        process.run_balls(balls);
-        max_loads.push_back(process.max_load());
-        gaps.push_back(process.gap());
-    }
-    return {std::move(max_loads), std::move(gaps)};
-}
-
-} // namespace
-
-TEST(WeightedLevelProcess, KsAgreementWithPerBinKernelAtTenThousandBins) {
-    constexpr std::uint64_t n = 10'000;
-    constexpr int reps = 100;
-    for (const auto& [k, d] :
-         std::vector<std::pair<std::uint64_t, std::uint64_t>>{{2, 4},
-                                                              {8, 16}}) {
-        const std::uint64_t balls = n - (n % k);
-        auto [perbin_max, perbin_gap] = collect_max_and_gap(
-            [&](std::uint64_t s) {
-                return weighted_kd_process(n, k, d, s,
-                                           pareto_weights(3.0, 1.0));
-            },
-            balls, reps, 800);
-        auto [level_max, level_gap] = collect_max_and_gap(
-            [&](std::uint64_t s) {
-                return weighted_kd_level_process(n, k, d, s,
-                                                 pareto_weights(3.0, 1.0));
-            },
-            balls, reps, 93'000);
-        const auto ks_max = kdc::stats::ks_two_sample(perbin_max, level_max);
-        EXPECT_GT(ks_max.p_value, 1e-3)
-            << "weighted max mismatch at k=" << k << " d=" << d
-            << " D=" << ks_max.statistic;
-        const auto ks_gap = kdc::stats::ks_two_sample(perbin_gap, level_gap);
-        EXPECT_GT(ks_gap.p_value, 1e-3)
-            << "weighted gap mismatch at k=" << k << " d=" << d
-            << " D=" << ks_gap.statistic;
-    }
-}
-
-TEST(WeightedLevelProcess, UnitWeightsMatchUnweightedLevelKd) {
-    // With unit weights the weighted process reduces to the paper's
-    // process; compare the level variant against the unweighted level
-    // kernel distributionally.
-    constexpr std::uint64_t n = 4'096;
-    constexpr int reps = 100;
-    std::vector<double> weighted_max;
-    std::vector<double> plain_max;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto seed =
-            kdc::rng::derive_seed(17, static_cast<std::uint32_t>(rep));
-        weighted_kd_level_process weighted(n, 2, 4, seed, unit_weights());
-        weighted.run_balls(n);
-        weighted_max.push_back(weighted.max_load());
-        kd_choice_level_process plain(
-            n, 2, 4, kdc::rng::derive_seed(7'717, static_cast<std::uint32_t>(rep)));
-        plain.run_balls(n);
-        plain_max.push_back(
-            static_cast<double>(plain.profile().metrics().max_load));
-    }
-    const auto ks = kdc::stats::ks_two_sample(weighted_max, plain_max);
-    EXPECT_GT(ks.p_value, 1e-3) << "D=" << ks.statistic;
-}
 
 namespace {
 
@@ -302,23 +223,6 @@ TEST(OnePlusBetaLevelProcess, CountsMessagesAndDegenerateBetas) {
     one_plus_beta_level_process tiny(1, 0.7, 9);
     tiny.run_balls(50);
     EXPECT_EQ(tiny.profile().max_level(), 50u);
-}
-
-TEST(WeightedLevelProcess, CountsAndProfileInvariants) {
-    weighted_kd_level_process process(256, 2, 4, 11,
-                                      uniform_weights(0.5, 1.5));
-    process.run_balls(512);
-    EXPECT_EQ(process.balls_placed(), 512u);
-    EXPECT_EQ(process.messages(), 4u * 256u);
-    EXPECT_EQ(process.profile().remaining_bins(), 256u);
-    EXPECT_GT(process.total_weight(), 0.0);
-    EXPECT_GE(process.max_load(), process.total_weight() / 256.0);
-    const auto sorted = process.profile().to_sorted_weights();
-    ASSERT_EQ(sorted.size(), 256u);
-    EXPECT_TRUE(std::is_sorted(sorted.rbegin(), sorted.rend()));
-    EXPECT_DOUBLE_EQ(sorted.front(), process.max_load());
-    // run_balls must be whole rounds.
-    EXPECT_THROW(process.run_balls(3), kdc::contract_violation);
 }
 
 TEST(ScenarioEquivalence, SweepCellMetricFollowsTheScenario) {

@@ -120,9 +120,20 @@ TEST(ScenarioParse, LevelKernelRejectionNamesTheCapableSet) {
     EXPECT_NE(message.find("policy 'threshold' has no level-compressed "
                            "kernel"),
               std::string::npos);
-    for (const char* name :
-         {"dchoice", "kd", "one_plus_beta", "single", "weighted"}) {
+    for (const char* name : {"dchoice", "kd", "one_plus_beta", "single"}) {
         EXPECT_NE(message.find(name), std::string::npos) << name;
+    }
+    // weighted runs on its per-bin kernel only.
+    scenario weighted = parse_scenario("weighted:n=512,k=2,d=4");
+    weighted.kernel = kernel_choice::level;
+    try {
+        (void)resolve_kernel(weighted);
+        ADD_FAILURE() << "weighted kernel=level was not refused";
+    } catch (const cli_error& error) {
+        EXPECT_STREQ(error.what(),
+                     "policy 'weighted' has no level-compressed kernel; "
+                     "kernel=level supports: dchoice, kd, one_plus_beta, "
+                     "single");
     }
     EXPECT_THROW((void)parse_scenario("greedy:n=512,k=2,d=4,kernel=level"),
                  cli_error);
@@ -142,10 +153,10 @@ TEST(ScenarioParse, AutoKernelPicksLevelWhereSupported) {
               kernel_kind::level);
     EXPECT_EQ(resolve_kernel(parse_scenario("one_plus_beta:n=512")),
               kernel_kind::level);
+    // Policies without a level kernel degrade to perbin under auto.
     EXPECT_EQ(resolve_kernel(parse_scenario(
                   "weighted:n=512,k=2,d=4,skew=0.5")),
-              kernel_kind::level);
-    // Policies without a level kernel degrade to perbin under auto.
+              kernel_kind::per_bin);
     EXPECT_EQ(resolve_kernel(parse_scenario("threshold:n=512")),
               kernel_kind::per_bin);
     EXPECT_EQ(resolve_kernel(parse_scenario("greedy:n=512,k=2,d=4")),

@@ -1,8 +1,8 @@
 // Snapshot integrity: the CRC-gated format-v2 envelope must reject EVERY
 // single-byte corruption and EVERY truncation of a valid snapshot with a
-// precise cli_error (the byte-flip fuzz loops below literally try them
-// all), the weighted profile must round-trip exactly, and the snapshot
-// stage's journal must replay committed stages byte for byte.
+// precise cli_error (the byte-flip fuzz loop below literally tries them
+// all), and the snapshot stage's journal must replay committed stages byte
+// for byte.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +15,6 @@
 #include "core/fault_injection.hpp"
 #include "core/level_profile.hpp"
 #include "core/snapshot_stage.hpp"
-#include "core/weighted.hpp"
 #include "support/cli.hpp"
 #include "support/crc32.hpp"
 
@@ -24,7 +23,6 @@ namespace {
 using kdc::arg_parser;
 using kdc::cli_error;
 using kdc::core::level_profile;
-using kdc::core::weight_profile;
 
 template <typename Load>
 void expect_every_corruption_rejected(const std::string& valid, Load load) {
@@ -62,84 +60,14 @@ TEST(SnapshotIntegrity, EveryLevelProfileCorruptionIsRejected) {
     EXPECT_TRUE(level_profile::load(in) == profile);
 }
 
-TEST(SnapshotIntegrity, EveryWeightProfileCorruptionIsRejected) {
-    kdc::core::weighted_kd_level_process process(
-        64, 2, 4, 33, kdc::core::uniform_weights(0.5, 2.0));
-    process.run_balls(128);
-    std::ostringstream out;
-    process.profile().save(out);
-    expect_every_corruption_rejected(out.str(), [](const std::string& text) {
-        std::istringstream in(text);
-        return weight_profile::load(in);
-    });
-}
-
-TEST(SnapshotIntegrity, WeightProfileRoundTripsExactly) {
-    kdc::core::weighted_kd_level_process process(
-        128, 2, 4, 7, kdc::core::pareto_weights(2.5, 1.0));
-    process.run_balls(512);
-    const weight_profile& original = process.profile();
-
-    std::stringstream snapshot;
-    original.save(snapshot);
-    const weight_profile restored = weight_profile::load(snapshot);
-    EXPECT_EQ(restored.n(), original.n());
-    EXPECT_EQ(restored.remaining_bins(), original.remaining_bins());
-    EXPECT_DOUBLE_EQ(restored.total_weight(), original.total_weight());
-    // max_digits10 output must reproduce every distinct value EXACTLY.
-    EXPECT_EQ(restored.to_sorted_weights(), original.to_sorted_weights());
-
-    // And a reloaded profile serializes to the same bytes (stable format).
-    std::ostringstream again;
-    restored.save(again);
-    EXPECT_EQ(again.str(), snapshot.str());
-}
-
-TEST(SnapshotIntegrity, WeightProfileLoadRejectsSemanticErrors) {
-    auto with_crc = [](const std::string& body) {
-        char hex[16];
-        std::snprintf(hex, sizeof hex, "%08x", kdc::crc32(body));
-        return body + "crc32 " + hex + "\n";
-    };
-    auto load_of = [](const std::string& text) {
-        std::istringstream in(text);
-        return weight_profile::load(in);
-    };
-    // Out-of-order values.
-    EXPECT_THROW((void)load_of(with_crc(
-                     "kdc-weight-profile 1\n4 2\n2 2\n1 2\n")),
-                 cli_error);
-    // Repeated value.
-    EXPECT_THROW((void)load_of(with_crc(
-                     "kdc-weight-profile 1\n4 2\n1 2\n1 2\n")),
-                 cli_error);
-    // Counts that do not sum to n.
-    EXPECT_THROW((void)load_of(with_crc(
-                     "kdc-weight-profile 1\n4 2\n1 1\n2 1\n")),
-                 cli_error);
-    // Negative and non-finite values.
-    EXPECT_THROW((void)load_of(with_crc(
-                     "kdc-weight-profile 1\n4 1\n-1 4\n")),
-                 cli_error);
-    EXPECT_THROW((void)load_of(with_crc(
-                     "kdc-weight-profile 1\n4 1\nnan 4\n")),
-                 cli_error);
-    // A valid hand-written profile loads.
-    const auto ok = load_of(with_crc("kdc-weight-profile 1\n4 2\n0 3\n2 1\n"));
-    EXPECT_EQ(ok.n(), 4u);
-    EXPECT_EQ(ok.bins_at(2.0), 1u);
-    EXPECT_DOUBLE_EQ(ok.total_weight(), 2.0);
-}
-
 /// The cli_error message a hand-written, CRC-valid snapshot body is refused
 /// with, or "" if it loads.
-template <typename Profile>
 std::string refusal_of(const std::string& body) {
     char hex[16];
     std::snprintf(hex, sizeof hex, "%08x", kdc::crc32(body));
     std::istringstream in(body + "crc32 " + hex + "\n");
     try {
-        (void)Profile::load(in);
+        (void)level_profile::load(in);
     } catch (const cli_error& e) {
         return e.what();
     }
@@ -148,33 +76,21 @@ std::string refusal_of(const std::string& body) {
 
 TEST(SnapshotIntegrity, LevelProfileLoadRejectsWrappingTotals) {
     // 2^64 - 1 + 2 wraps to 1 == n: the running sum must stop at n.
-    EXPECT_NE(refusal_of<level_profile>(
+    EXPECT_NE(refusal_of(
                   "kdc-level-profile 2\n1 2\n18446744073709551615 2\n")
                   .find("sum past the header's 1 bins"),
               std::string::npos);
     // 2 * (2^64 - 1) balls at level 2 wrap the ball total.
-    EXPECT_NE(refusal_of<level_profile>(
+    EXPECT_NE(refusal_of(
                   "kdc-level-profile 2\n18446744073709551615 3\n"
                   "0 0 18446744073709551615\n")
                   .find("ball total overflows 64 bits at level 2"),
               std::string::npos);
     // Exactly 2^64 - 1 balls still fit.
-    EXPECT_EQ(refusal_of<level_profile>(
+    EXPECT_EQ(refusal_of(
                   "kdc-level-profile 2\n18446744073709551615 2\n"
                   "0 18446744073709551615\n"),
               "");
-}
-
-TEST(SnapshotIntegrity, WeightProfileLoadRejectsWrappingTotals) {
-    EXPECT_NE(refusal_of<weight_profile>(
-                  "kdc-weight-profile 1\n1 2\n1 18446744073709551615\n"
-                  "2 2\n")
-                  .find("sum past the header's 1 bins"),
-              std::string::npos);
-    EXPECT_NE(refusal_of<weight_profile>(
-                  "kdc-weight-profile 1\n2 1\n1e308 2\n")
-                  .find("weight total overflows a double at row 0"),
-              std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ kd_choice_process::kd_choice_process(load_vector initial_loads,
 void kd_choice_process::run_round() {
     const std::span<std::uint32_t> samples(sample_buffer_);
     if (probe_mode_ == probe_mode::with_replacement) {
-        for (auto& slot : samples) {
-            slot = static_cast<std::uint32_t>(probe_draws_.next(gen_));
-        }
+        probe_draws_.fill(gen_, samples);
     } else {
         rng::sample_without_replacement(gen_, loads_.size(), sample_scratch_,
                                         samples);
@@ -72,9 +70,7 @@ void kd_choice_process::run_balls(std::uint64_t balls) {
         // pop-multiply-compare off a prefilled 256-word block instead of a
         // generator call (rng/sampling.hpp, batched_uniform).
         for (std::uint64_t round = 0; round < rounds; ++round) {
-            for (auto& slot : samples) {
-                slot = static_cast<std::uint32_t>(probe_draws_.next(gen));
-            }
+            probe_draws_.fill(gen, samples);
             place_round(loads_, samples, k, gen, scratch_, log);
         }
     } else {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -67,6 +68,39 @@ public:
             }
             ++rejected_; // cold: P(reject) = threshold / 2^64 < bound / 2^64
         }
+    }
+
+    /// Fills `out` with draws uniform in [0, bound), consuming generator
+    /// words exactly as out.size() next() calls would, rejections included.
+    /// The block position, bound and threshold stay in registers for the
+    /// whole span. Requires bound - 1 to fit T.
+    template <bit_generator_64 G, typename T>
+    void fill(G& gen, std::span<T> out) {
+        // GCC/Clang extension; pragma scoped as in uniform.hpp.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpedantic"
+        using u128 = unsigned __int128;
+#pragma GCC diagnostic pop
+        KD_EXPECTS(bound_ - 1 <= std::numeric_limits<T>::max());
+        const std::uint64_t bound = bound_;
+        const std::uint64_t threshold = threshold_;
+        std::size_t pos = pos_;
+        for (T& value : out) {
+            for (;;) {
+                if (pos == block_size) {
+                    refill(gen);
+                    pos = 0;
+                }
+                const u128 m = static_cast<u128>(buffer_[pos++]) *
+                               static_cast<u128>(bound);
+                if (static_cast<std::uint64_t>(m) >= threshold) {
+                    value = static_cast<T>(m >> 64);
+                    break;
+                }
+                ++rejected_; // cold, as in next()
+            }
+        }
+        pos_ = pos;
     }
 
     // -- Introspection for exact parallel replay (core/sharded_kernel.cpp).

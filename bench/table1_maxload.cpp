@@ -16,6 +16,10 @@
 //                    [--csv] [--progress] [--kernel=perbin|level]
 //                    [--scenario "kd:n=...,kernel=auto,metric=gap"]
 //                    [--adaptive --ci-width=0.4 --min-reps=3 --max-reps=40]
+//                    [--inject-faults=<plan>]
+//
+// A fault plan, from --inject-faults or the KDC_FAULTS environment
+// variable, is armed before the sweep (docs/robustness.md).
 //
 // Every cell is a declarative scenario (core/scenario.hpp): the grid
 // stamps k and d onto one merged base scenario, and `--scenario` overrides
@@ -62,11 +66,13 @@ int main(int argc, char** argv) {
     args.add_kernel_option();
     args.add_scenario_option();
     args.add_adaptive_options();
+    args.add_fault_options();
     args.add_flag("csv", "also emit CSV rows (k, d, max-load set, mean)");
     args.add_flag("progress", "report sweep progress on stderr");
     if (!args.parse(argc, argv)) {
         return 0;
     }
+    kdc::core::arm_faults_from_cli(args);
     const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 

@@ -71,7 +71,8 @@ void weighted_kd_process::run_round_with(
     slots_.reserve(samples.size());
     // Count occurrences: sort a copy of the samples so occurrence indices
     // are well defined (duplicates are adjacent after sorting).
-    std::vector<std::uint32_t> sorted(samples.begin(), samples.end());
+    auto& sorted = sorted_samples_;
+    sorted.assign(samples.begin(), samples.end());
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t i = 0; i < sorted.size();) {
         const std::uint32_t bin = sorted[i];
@@ -99,14 +100,17 @@ void weighted_kd_process::run_round_with(
         return a.occurrence < b.occurrence;
     });
 
-    std::vector<double> weights_desc(ball_weights.begin(), ball_weights.end());
+    auto& weights_desc = weights_desc_;
+    weights_desc.assign(ball_weights.begin(), ball_weights.end());
     std::sort(weights_desc.begin(), weights_desc.end(), std::greater<>{});
 
     // Greedy: for each ball (heaviest first) pick the currently lightest
     // remaining slot. Slots of the same bin become heavier as earlier balls
     // land, so re-scan; k and d are small (k < d <= a few hundred in all
-    // experiments), so the quadratic scan is cheap and allocation-free.
-    std::vector<bool> used(slots_.size(), false);
+    // experiments), so the quadratic scan is cheap. Every buffer of the
+    // round is member scratch, so a round allocates only while they grow.
+    auto& used = used_;
+    used.assign(slots_.size(), false);
     for (const double w : weights_desc) {
         std::size_t best = slots_.size();
         double best_load = 0.0;

@@ -97,7 +97,11 @@ private:
         std::uint32_t bin = 0;
         std::uint32_t occurrence = 0; // multiplicity index within the round
     };
+    // Per-round scratch, reused so a round does not allocate.
     std::vector<slot> slots_;
+    std::vector<std::uint32_t> sorted_samples_;
+    std::vector<double> weights_desc_;
+    std::vector<bool> used_;
 };
 
 } // namespace kdc::core

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "rng/uniform.hpp"
@@ -246,6 +247,47 @@ TEST(BatchedUniform, MatchesUniformBelowStream) {
                 << "bound " << bound << " draw " << draw;
         }
     }
+}
+
+TEST(BatchedUniform, FillMatchesRepeatedNext) {
+    // fill consumes generator words exactly as repeated next() calls do,
+    // rejections included: bound 2^63 + 1 rejects about half the words.
+    // Spans of varying length cross refill blocks at varying offsets, and
+    // the generator is drawn from between spans, as place_round draws tie
+    // keys between probe fills.
+    for (const std::uint64_t bound :
+         {1ULL, 193ULL, (1ULL << 32) - 1, (1ULL << 63) + 1}) {
+        xoshiro256ss fill_gen(35);
+        xoshiro256ss next_gen(35);
+        kdc::rng::batched_uniform filled(bound);
+        kdc::rng::batched_uniform stepped(bound);
+        std::vector<std::uint64_t> out;
+        for (std::size_t length = 0; length < 600; length += 37) {
+            out.assign(length, 0);
+            filled.fill(fill_gen, std::span<std::uint64_t>(out));
+            for (std::size_t i = 0; i < length; ++i) {
+                ASSERT_EQ(out[i], stepped.next(next_gen))
+                    << "bound " << bound << " length " << length << " i "
+                    << i;
+            }
+            ASSERT_EQ(fill_gen(), next_gen());
+            EXPECT_EQ(filled.buffered(), stepped.buffered());
+        }
+        EXPECT_EQ(filled.rejections(), stepped.rejections());
+        if (bound == (1ULL << 63) + 1) {
+            EXPECT_GT(filled.rejections(), 0u);
+        }
+    }
+}
+
+TEST(BatchedUniform, FillIntoNarrowTypeNeedsTheBoundToFit) {
+    xoshiro256ss gen(36);
+    std::vector<std::uint32_t> out(4);
+    kdc::rng::batched_uniform fits(std::uint64_t{1} << 32);
+    fits.fill(gen, std::span<std::uint32_t>(out));
+    kdc::rng::batched_uniform too_wide((std::uint64_t{1} << 32) + 1);
+    EXPECT_THROW(too_wide.fill(gen, std::span<std::uint32_t>(out)),
+                 kdc::contract_violation);
 }
 
 TEST(BatchedUniform, MarginalIsUniform) {

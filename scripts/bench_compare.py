@@ -5,11 +5,11 @@
         --workload W --pairs N [--seconds 35] [--trace 0|1] [--first-seed 1]
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits, e.g. made with
-`git archive <rev> | tar -x -C DIR`. Pair i runs `perfbench/run.py` once in
-each, on the same run seed (first-seed + i), one after the other; the
-parent goes first in even pairs and the change in odd ones, so a drift of
-the host over time hits both sides alike. Each run builds its checkout's
-`.bench_build/` on first use.
+`git archive <rev> | tar -x -C DIR`. Each pair runs `perfbench/run.py` once
+in each, on one run seed (first-seed, then first-seed + 1, ...), one after
+the other; the parent goes first in the first pair and the order
+alternates after that, so a drift of the host over time hits both sides
+alike. Each run builds its checkout's `.bench_build/` on first use.
 
 A pair in which either run reports `correct: false` (a digest mismatch or a
 failed check) is refused: the script stops with exit code 1 and prints no
@@ -91,10 +91,11 @@ def main():
                          f"{side} run is not correct; no comparison made")
         runs["parent"].append(pair["parent"])
         runs["change"].append(pair["change"])
+        run_s = {side: pair[side]["metrics"].get("run_s", {}).get("value")
+                 for side in pair}
         print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-              + ", ".join(
-                  f"{side} run_s={pair[side]['metrics'].get('run_s', {}).get('value', float('nan')):.4g}"
-                  for side in ("parent", "change")),
+              f"parent run_s={run_s['parent']}, "
+              f"change run_s={run_s['change']}",
               file=sys.stderr)
 
     print(f"workload {args.workload}, {args.pairs} pairs, {args.seconds:g} s "

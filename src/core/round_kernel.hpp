@@ -113,6 +113,22 @@ inline void radix_sort(std::span<const std::uint32_t> values,
     }
 }
 
+/// The bucket filter in front of top_k. A slot's bucket is its height
+/// level above the round's lowest slot height, followed by the top bits of
+/// its tie key: the level takes as many of the filter_bits bits as the
+/// round's height spread needs and the key the rest. Bucket order agrees
+/// with the (height, tie_key, slot) order, so every slot in a bucket below
+/// the one holding the k-th smallest slot (the cut bucket) is kept, and
+/// top_k runs only over the cut bucket. A round whose spread needs more
+/// than filter_bits bits falls back to plain top_k. So do rounds where
+/// plain top_k measured cheaper: those with fewer than filter_min_slots
+/// slots, and those with more than filter_slots_per_k slots per kept
+/// ball, where top_k's insertions (about k ln(d/k) a round) are rare.
+inline constexpr unsigned filter_bits = 7;
+inline constexpr std::size_t filter_buckets = std::size_t{1} << filter_bits;
+inline constexpr std::size_t filter_min_slots = 8;
+inline constexpr std::size_t filter_slots_per_k = 48;
+
 } // namespace detail
 
 /// Keeps the k smallest slots offered in a sorted prefix of `kept` (room
@@ -158,26 +174,6 @@ private:
     std::size_t k_;
     std::size_t held_ = 0;
 };
-
-namespace detail {
-
-/// The bucket filter in front of top_k. A slot's bucket is its height
-/// level above the round's lowest slot height, followed by the top bits of
-/// its tie key: the level takes as many of the filter_bits bits as the
-/// round's height spread needs and the key the rest. Bucket order agrees
-/// with the (height, tie_key, slot) order, so every slot in a bucket below
-/// the one holding the k-th smallest slot (the cut bucket) is kept, and
-/// top_k runs only over the cut bucket. A round whose spread needs more
-/// than filter_bits bits falls back to plain top_k. So does a round of
-/// fewer than filter_min_slots slots, or of more than filter_slots_per_k
-/// slots per kept one: plain top_k's insertions, about k ln(d/k) per
-/// round, are then too rare to cost more than the filter's passes.
-inline constexpr unsigned filter_bits = 7;
-inline constexpr std::size_t filter_buckets = std::size_t{1} << filter_bits;
-inline constexpr std::size_t filter_min_slots = 8;
-inline constexpr std::size_t filter_slots_per_k = 48;
-
-} // namespace detail
 
 /// Places `k` balls into `loads` for one round whose probe step sampled the
 /// bins in `samples` (a multiset: duplicates are meaningful). Appends the

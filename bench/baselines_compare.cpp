@@ -24,7 +24,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("reps", "10", "repetitions per scheme");
@@ -33,11 +35,11 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) {
         return 0;
     }
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
+    base.n = args.get_positive_int("n");
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
@@ -120,3 +122,7 @@ int main(int argc, char** argv) {
                  "constant max load.\n";
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -45,9 +45,7 @@ struct rep_profile {
     double messages = 0.0;
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls");
     args.add_option("k", "64", "balls per round");
@@ -61,15 +59,16 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) {
         return 0;
     }
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.k = static_cast<std::uint64_t>(args.get_int("k"));
-    base.d = static_cast<std::uint64_t>(args.get_int("d"));
+    base.n = args.get_positive_int("n");
+    base.k = args.get_positive_int("k");
+    base.d = args.get_positive_int("d");
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
+    kdc_bench::require_kd_reading(merged);
     const auto n = merged.n;
     const auto k = merged.k;
     const auto d = merged.d;
@@ -194,3 +193,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -47,9 +47,7 @@ double mean_of(const std::vector<double>& xs) {
     return sum / static_cast<double>(xs.size());
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins and balls");
     args.add_option("reps", "30", "repetitions per process");
@@ -61,11 +59,11 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) {
         return 0;
     }
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
+    base.n = args.get_positive_int("n");
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
@@ -198,3 +196,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -616,7 +616,7 @@ int scenario_main(int argc, char** argv) {
                             ? static_cast<double>(balls) / best_seconds
                             : 0.0;
     std::cout << "scenario " << kdc::core::to_string(sc) << "\n"
-              << "kernel " << kdc::core::kernel_name(kernel) << ", "
+              << "kernel " << kdc::core::kernel_choice_name(kernel) << ", "
               << balls << " balls: "
               << static_cast<std::uint64_t>(rate) << " balls/s (best of "
               << runs << ", max load " << final_max << ")\n"
@@ -869,9 +869,7 @@ void bm_sorted_loads(benchmark::State& state) {
 }
 BENCHMARK(bm_sorted_loads);
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     // `--json` switches to the self-contained kernel-comparison harness,
     // `--scenario` to the single-scenario timer; everything else is
     // google-benchmark's usual CLI.
@@ -893,3 +891,7 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -17,7 +17,8 @@
 // of magnitude without touching per-bin memory.
 //
 //   ./open_question_heavy [--n=16384] [--reps=5] [--seed=12] [--threads=0]
-//                         [--max-factor=64] [--csv] [--kernel=perbin|level]
+//                         [--max-factor=64] [--csv]
+//                         [--kernel=perbin|level|auto]
 //                         [--scenario "kd:n=...,kernel=auto"]
 //                         [--adaptive --ci-width=0.4 --min-reps=3
 //                          --max-reps=40]
@@ -34,7 +35,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "16384", "number of bins");
     args.add_option("reps", "5", "repetitions per point");
@@ -55,15 +58,14 @@ int main(int argc, char** argv) {
         return 0;
     }
     kdc::core::arm_faults_from_cli(args);
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
     const auto max_factor =
         static_cast<std::uint64_t>(args.get_int("max-factor"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.kernel =
-        kdc::core::to_kernel_choice(kdc::core::kernel_from_cli(args));
+    base.n = args.get_positive_int("n");
+    base.kernel = kdc::core::kernel_from_name(args.get_string("kernel"));
     base.warmup = kdc::core::warmup_from_name(args.get_string("warmup"));
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
@@ -122,7 +124,8 @@ int main(int argc, char** argv) {
 
     std::cout << "Open question (Section 7): heavily loaded gap for "
                  "k < d < 2k, n = " << n
-              << ", kernel = " << kdc::core::kernel_name(kernel) << "\n"
+              << ", kernel = " << kdc::core::kernel_choice_name(kernel)
+              << "\n"
               << "gap = max load - m/n; anchors: single choice grows ~ "
                  "sqrt((m/n) ln n), (1,2) stays flat\n\n";
 
@@ -166,3 +169,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

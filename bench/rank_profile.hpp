@@ -7,9 +7,22 @@
 #include <cstdint>
 #include <string>
 
+#include "core/scenario.hpp"
+#include "support/cli.hpp"
 #include "support/row_emitter.hpp"
 
 namespace kdc_bench {
+
+/// Rejects, with a cli_error, a scenario whose family does not read k and d
+/// with k < d, as the figures' (k,d) bounds require.
+inline void require_kd_reading(const kdc::core::scenario& sc) {
+    if (!kdc::core::scenario_reads_key(sc, "k") || sc.k >= sc.d) {
+        throw kdc::cli_error(
+            "this figure prints (k,d)-choice theory and needs a family that "
+            "reads k and d with k < d (kd, greedy, weighted), got '" +
+            kdc::core::to_string(sc) + "'");
+    }
+}
 
 /// One rank of the measured profile: B_rank averaged over repetitions,
 /// plus an optional landmark annotation ("<- beta0 = n/(6 dk)", ...).

@@ -68,9 +68,7 @@ kdc::sched::scheduler_result run_one(std::uint64_t workers,
     return kdc::sched::simulate(config);
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("workers", "256", "cluster size");
     args.add_option("jobs", "20000", "jobs per run");
@@ -88,8 +86,8 @@ int main(int argc, char** argv) {
     // task). The d = 2k default reproduces the paper's Section 1.3
     // comparison and the bench's historical output byte for byte.
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("workers"));
-    base.k = static_cast<std::uint64_t>(args.get_int("k"));
+    base.n = args.get_positive_int("workers");
+    base.k = args.get_positive_int("k");
     base.d = 2 * base.k;
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto workers = merged.n;
@@ -173,3 +171,7 @@ int main(int argc, char** argv) {
                  "spending 1/k of the messages.\n";
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -217,9 +217,7 @@ int run_guard(const service_config& base,
     return failures;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     try {
         kdc::arg_parser args;
         args.add_option("bins", "4096", "bins behind the service");
@@ -299,8 +297,14 @@ int main(int argc, char** argv) {
                   << base.k * base.d
                   << "; batch latency rises with utilization.\n";
         return 0;
+    } catch (const kdc::cli_error&) {
+        throw; // cli_main reports it with exit 2
     } catch (const std::exception& error) {
         std::cerr << "error: " << error.what() << '\n';
         return 1;
     }
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

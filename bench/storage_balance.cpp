@@ -22,7 +22,9 @@
 #include "support/cli.hpp"
 #include "support/text_table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("servers", "4096", "number of storage servers");
     args.add_option("files", "100000", "files to place");
@@ -39,8 +41,8 @@ int main(int argc, char** argv) {
 
     // Scenario mapping: n = servers, k = replicas per file.
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("servers"));
-    base.k = static_cast<std::uint64_t>(args.get_int("k"));
+    base.n = args.get_positive_int("servers");
+    base.k = args.get_positive_int("k");
     base.d = base.k + 1;
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto servers = merged.n;
@@ -109,3 +111,7 @@ int main(int argc, char** argv) {
                  "failure rate.\n";
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -13,7 +13,7 @@
 // fixed.
 //
 //   ./table1_maxload [--n=196608] [--reps=10] [--seed=1] [--threads=0]
-//                    [--csv] [--progress] [--kernel=perbin|level]
+//                    [--csv] [--progress] [--kernel=perbin|level|auto]
 //                    [--scenario "kd:n=...,kernel=auto,metric=gap"]
 //                    [--adaptive --ci-width=0.4 --min-reps=3 --max-reps=40]
 //                    [--inject-faults=<plan>]
@@ -55,9 +55,7 @@ struct cell_meta {
     std::uint64_t d = 0;
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "196608", "number of bins and balls (3 * 2^16)");
     args.add_option("reps", "10", "simulation runs per cell (paper: 10)");
@@ -73,15 +71,14 @@ int main(int argc, char** argv) {
         return 0;
     }
     kdc::core::arm_faults_from_cli(args);
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     // Legacy flags become the base scenario; --scenario overrides it key by
     // key. All knobs below come from the merged value.
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.kernel =
-        kdc::core::to_kernel_choice(kdc::core::kernel_from_cli(args));
+    base.n = args.get_positive_int("n");
+    base.kernel = kdc::core::kernel_from_name(args.get_string("kernel"));
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
     const auto kernel = kdc::core::resolve_kernel(merged);
@@ -127,7 +124,7 @@ int main(int argc, char** argv) {
 
     std::cout << "Table 1: maximum bin load for (k,d)-choice, n = " << n
               << ", " << reps << " runs per cell, kernel = "
-              << kdc::core::kernel_name(kernel) << "\n"
+              << kdc::core::kernel_choice_name(kernel) << "\n"
               << "(cells list the distinct max loads seen across runs; '-' "
                  "marks invalid cells with k >= d)\n\n";
 
@@ -186,3 +183,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -22,7 +22,9 @@
 #include "support/text_table.hpp"
 #include "theory/bounds.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("reps", "5", "repetitions per point");
     args.add_option("seed", "3", "master seed");
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) {
         return 0;
     }
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
@@ -86,3 +88,7 @@ int main(int argc, char** argv) {
                  "of Theorem 1(i) and the (1+-o(1)) factor of Theorem 1(ii).\n";
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

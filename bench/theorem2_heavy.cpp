@@ -17,7 +17,7 @@
 // orders of magnitude beyond the per-bin kernel's memory reach.
 //
 //   ./theorem2_heavy [--n=65536] [--reps=5] [--seed=4] [--threads=0]
-//                    [--max-factor=32] [--csv] [--kernel=perbin|level]
+//                    [--max-factor=32] [--csv] [--kernel=perbin|level|auto]
 //                    [--scenario "kd:n=...,kernel=auto,metric=gap"]
 //                    [--adaptive --ci-width=0.4 --min-reps=3 --max-reps=40]
 //
@@ -47,9 +47,7 @@ struct cell_meta {
     const char* role = ""; // "lo" | "mid" | "hi"
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins");
     args.add_option("reps", "5", "repetitions per point");
@@ -70,15 +68,14 @@ int main(int argc, char** argv) {
         return 0;
     }
     kdc::core::arm_faults_from_cli(args);
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
     const auto max_factor =
         static_cast<std::uint64_t>(args.get_int("max-factor"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
-    base.kernel =
-        kdc::core::to_kernel_choice(kdc::core::kernel_from_cli(args));
+    base.n = args.get_positive_int("n");
+    base.kernel = kdc::core::kernel_from_name(args.get_string("kernel"));
     base.warmup = kdc::core::warmup_from_name(args.get_string("warmup"));
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;
@@ -138,7 +135,8 @@ int main(int argc, char** argv) {
     const auto outcomes = kdc::core::run_sweep(cells, options);
 
     std::cout << "Theorem 2: heavily loaded (k,d)-choice for d >= 2k, n = "
-              << n << ", kernel = " << kdc::core::kernel_name(kernel) << "\n"
+              << n << ", kernel = " << kdc::core::kernel_choice_name(kernel)
+              << "\n"
               << "gap = measured max load - m/n; brackets are the d-choice "
                  "processes of the majorization sandwich\n\n";
 
@@ -199,3 +197,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

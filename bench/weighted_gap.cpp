@@ -45,9 +45,7 @@ struct rep_observation {
     std::uint64_t messages = 0;
 };
 
-} // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     kdc::arg_parser args;
     args.add_option("n", "65536", "number of bins");
     args.add_option("rounds-factor", "4",
@@ -63,11 +61,11 @@ int main(int argc, char** argv) {
     }
     const auto factor =
         static_cast<std::uint64_t>(args.get_int("rounds-factor"));
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
+    base.n = args.get_positive_int("n");
     base.family = "weighted";
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
@@ -210,3 +208,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return kdc::cli_main(argc, argv, run); }

@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario sc;
-    sc.n = static_cast<std::uint64_t>(args.get_int("workers"));
-    sc.k = static_cast<std::uint64_t>(args.get_int("k"));
-    sc.d = static_cast<std::uint64_t>(args.get_int("d"));
+    sc.n = args.get_positive_int("workers");
+    sc.k = args.get_positive_int("k");
+    sc.d = args.get_positive_int("d");
     const auto merged = kdc::core::scenario_from_cli(args, sc);
     const auto workers = merged.n;
     const auto k = merged.k;

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("servers"));
-    base.k = static_cast<std::uint64_t>(args.get_int("k"));
+    base.n = args.get_positive_int("servers");
+    base.k = args.get_positive_int("k");
     base.d = base.k + 1;
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto servers = merged.n;

@@ -30,7 +30,8 @@ int main() {
     const auto obs = process.observe();
     std::cout << "scenario " << kdc::core::to_string(sc) << "\n"
               << "  kernel     : "
-              << kdc::core::kernel_name(kdc::core::resolve_kernel(sc)) << "\n"
+              << kdc::core::kernel_choice_name(kdc::core::resolve_kernel(sc))
+              << "\n"
               << "  max load   : " << obs.max_load << "\n"
               << "  empty bins : " << obs.empty_bins << "\n"
               << "  messages   : " << obs.messages << " ("

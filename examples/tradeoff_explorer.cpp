@@ -29,11 +29,11 @@ int main(int argc, char** argv) {
         return 0;
     }
     const auto budget = static_cast<std::uint64_t>(args.get_int("budget"));
-    const auto reps = static_cast<std::uint32_t>(args.get_int("reps"));
+    const auto reps = args.get_reps();
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
     kdc::core::scenario base;
-    base.n = static_cast<std::uint64_t>(args.get_int("n"));
+    base.n = args.get_positive_int("n");
     base.kernel = kdc::core::kernel_choice::per_bin; // legacy default
     const auto merged = kdc::core::scenario_from_cli(args, base);
     const auto n = merged.n;

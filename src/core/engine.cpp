@@ -12,18 +12,19 @@ namespace {
 
 constexpr std::uint32_t default_min_reps = 3;
 
+/// Two-sided confidence level of every confidence_width interval.
+constexpr double confidence_level = 0.95;
+
 } // namespace
 
 stopping_rule fixed_reps_rule() noexcept { return stopping_rule{}; }
 
 stopping_rule confidence_width_rule(double ci_half_width,
                                     std::uint32_t min_reps,
-                                    std::uint32_t max_reps,
-                                    double confidence) {
+                                    std::uint32_t max_reps) {
     stopping_rule rule;
     rule.mode = stopping_mode::confidence_width;
     rule.ci_half_width = ci_half_width;
-    rule.confidence = confidence;
     rule.min_reps = min_reps;
     rule.max_reps = max_reps;
     validate_stopping_rule(rule);
@@ -31,11 +32,10 @@ stopping_rule confidence_width_rule(double ci_half_width,
 }
 
 stopping_rule relative_width_rule(double ci_rel, std::uint32_t min_reps,
-                                  std::uint32_t max_reps, double confidence) {
+                                  std::uint32_t max_reps) {
     stopping_rule rule;
     rule.mode = stopping_mode::confidence_width;
     rule.ci_rel = ci_rel;
-    rule.confidence = confidence;
     rule.min_reps = min_reps;
     rule.max_reps = max_reps;
     validate_stopping_rule(rule);
@@ -53,8 +53,6 @@ void validate_stopping_rule(const stopping_rule& rule) {
                    "confidence_width needs exactly one width target: a "
                    "positive finite ci_half_width or a positive finite "
                    "ci_rel (mean-scaled)");
-    KD_EXPECTS_MSG(rule.confidence > 0.0 && rule.confidence < 1.0,
-                   "confidence level must lie strictly between 0 and 1");
     KD_EXPECTS_MSG(rule.min_reps == 0 || rule.min_reps >= 2,
                    "the adaptive floor needs >= 2 reps to estimate variance");
     KD_EXPECTS_MSG(rule.min_reps == 0 || rule.max_reps == 0 ||
@@ -96,7 +94,7 @@ bool confidence_reached(const stats::running_stats& monitor,
     const double target = rule.ci_rel > 0.0
                               ? rule.ci_rel * std::abs(monitor.mean())
                               : rule.ci_half_width;
-    return stats::t_ci_half_width(monitor, rule.confidence) <= target;
+    return stats::t_ci_half_width(monitor, confidence_level) <= target;
 }
 
 stopping_rule stopping_rule_from_cli(const arg_parser& args) {

@@ -69,7 +69,7 @@ enum class stopping_mode {
 /// itself.
 struct stopping_rule {
     stopping_mode mode = stopping_mode::fixed_reps;
-    /// confidence_width: stop once the Student-t CI half-width of the
+    /// confidence_width: stop once the 95% Student-t CI half-width of the
     /// monitored statistic's mean is <= this. Must be positive and finite
     /// (unless ci_rel carries the target instead).
     double ci_half_width = 0.0;
@@ -78,8 +78,6 @@ struct stopping_rule {
     /// re-evaluated at every chunk boundary. Exactly one of ci_half_width
     /// and ci_rel must be set under confidence_width.
     double ci_rel = 0.0;
-    /// Confidence level of that interval (two-sided), in (0, 1).
-    double confidence = 0.95;
     std::uint32_t min_reps = 0;   ///< floor before any stop decision (>= 2)
     std::uint32_t max_reps = 0;   ///< hard cap; 0 = the cell's configured reps
 };
@@ -88,14 +86,14 @@ struct stopping_rule {
 [[nodiscard]] stopping_rule fixed_reps_rule() noexcept;
 [[nodiscard]] stopping_rule
 confidence_width_rule(double ci_half_width, std::uint32_t min_reps = 0,
-                      std::uint32_t max_reps = 0, double confidence = 0.95);
+                      std::uint32_t max_reps = 0);
 /// The mean-scaled variant: stop once the CI half-width is <= ci_rel times
 /// the monitored mean's magnitude.
 [[nodiscard]] stopping_rule
 relative_width_rule(double ci_rel, std::uint32_t min_reps = 0,
-                    std::uint32_t max_reps = 0, double confidence = 0.95);
+                    std::uint32_t max_reps = 0);
 
-/// Validates rule invariants (positive finite width, confidence in (0,1),
+/// Validates rule invariants (exactly one positive finite width target,
 /// min <= max where both are given); throws contract_violation otherwise.
 void validate_stopping_rule(const stopping_rule& rule);
 

@@ -4,22 +4,6 @@
 
 namespace kdc::core {
 
-kernel_kind kernel_from_cli(const arg_parser& args) {
-    const auto value = args.get_string("kernel");
-    if (value == "perbin") {
-        return kernel_kind::per_bin;
-    }
-    if (value == "level") {
-        return kernel_kind::level;
-    }
-    throw cli_error("option --kernel must be 'perbin' or 'level', got '" +
-                    value + "'");
-}
-
-const char* kernel_name(kernel_kind kernel) noexcept {
-    return kernel == kernel_kind::level ? "level" : "perbin";
-}
-
 const char* par_mode_name(par_mode mode) noexcept {
     return mode == par_mode::round ? "round" : "rep";
 }

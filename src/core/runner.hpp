@@ -23,26 +23,7 @@
 #include "stats/running_stats.hpp"
 #include "support/contracts.hpp"
 
-namespace kdc {
-class arg_parser;
-} // namespace kdc
-
 namespace kdc::core {
-
-/// Which simulation kernel backs an experiment's processes:
-///   * per_bin — one load entry per bin (core/process.hpp). O(n) state;
-///     supports per-bin observables (height logs, explicit probe multisets).
-///   * level — counts of bins per load level (core/level_process.hpp).
-///     O(max-load) state; distributionally identical, not bit-identical —
-///     billion-bin and heavily loaded runs belong here.
-enum class kernel_kind { per_bin, level };
-
-/// Parses the standard `--kernel={perbin,level}` option declared by
-/// arg_parser::add_kernel_option(). Throws cli_error on any other value.
-[[nodiscard]] kernel_kind kernel_from_cli(const arg_parser& args);
-
-/// Short name for labels and CSV cells: "perbin" or "level".
-[[nodiscard]] const char* kernel_name(kernel_kind kernel) noexcept;
 
 /// How an experiment exploits worker threads:
 ///   * rep — repetition-level parallelism (the default, and the only mode

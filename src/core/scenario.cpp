@@ -87,21 +87,6 @@ double parse_double(const std::string& key, const std::string& text) {
     return value;
 }
 
-kernel_choice parse_kernel(const std::string& text) {
-    if (text == "perbin") {
-        return kernel_choice::per_bin;
-    }
-    if (text == "level") {
-        return kernel_choice::level;
-    }
-    if (text == "auto") {
-        return kernel_choice::auto_pick;
-    }
-    throw cli_error("scenario key 'kernel' must be 'perbin', 'level' or "
-                    "'auto', got '" +
-                    text + "'");
-}
-
 /// shards/selpar = auto | positive count; "auto" is carried as 0 (the
 /// resolve_shard_count / resolve_selection_segments sentinel).
 std::uint64_t parse_auto_count(const std::string& key,
@@ -157,25 +142,26 @@ enum family_key : unsigned {
 
 /// One family: what it is called, what it supports, which family-specific
 /// keys it reads, and how to build a repetition's process for it. `make`
-/// gets an already-resolved kernel that is valid for the family.
+/// gets an already-resolved kernel (never auto_pick) that is valid for the
+/// family.
 struct family_info {
     std::string_view name;
     bool supports_level;       ///< has a level-compressed kernel
     bool supports_replacement; ///< honors replacement=without
     unsigned keys;             ///< family_key bits
-    any_process (*make)(const scenario& sc, kernel_kind kernel,
+    any_process (*make)(const scenario& sc, kernel_choice kernel,
                         std::uint64_t seed);
 };
 
-any_process make_single(const scenario& sc, kernel_kind kernel,
+any_process make_single(const scenario& sc, kernel_choice kernel,
                         std::uint64_t seed) {
-    if (kernel == kernel_kind::level) {
+    if (kernel == kernel_choice::level) {
         return any_process(single_choice_level_process(sc.n, seed));
     }
     return any_process(single_choice_process(sc.n, seed));
 }
 
-any_process make_kd(const scenario& sc, kernel_kind kernel,
+any_process make_kd(const scenario& sc, kernel_choice kernel,
                     std::uint64_t seed) {
     if (sc.d == 1) {
         // The Table-1 (1,1) cell: single choice by construction.
@@ -188,7 +174,7 @@ any_process make_kd(const scenario& sc, kernel_kind kernel,
         return any_process(
             sharded_kd_process(sc.n, sc.k, sc.d, seed, sc.shards, sc.selpar));
     }
-    if (kernel == kernel_kind::level) {
+    if (kernel == kernel_choice::level) {
         return any_process(kd_choice_level_process(sc.n, sc.k, sc.d, seed));
     }
     kd_choice_process process(sc.n, sc.k, sc.d, seed);
@@ -196,34 +182,34 @@ any_process make_kd(const scenario& sc, kernel_kind kernel,
     return any_process(std::move(process));
 }
 
-any_process make_dchoice(const scenario& sc, kernel_kind kernel,
+any_process make_dchoice(const scenario& sc, kernel_choice kernel,
                          std::uint64_t seed) {
-    if (kernel == kernel_kind::level) {
+    if (kernel == kernel_choice::level) {
         return any_process(d_choice_level_process(sc.n, sc.d, seed));
     }
     return any_process(d_choice_process(sc.n, sc.d, seed));
 }
 
-any_process make_greedy(const scenario& sc, kernel_kind,
+any_process make_greedy(const scenario& sc, kernel_choice,
                         std::uint64_t seed) {
     return any_process(batched_greedy_process(sc.n, sc.k, sc.d, seed));
 }
 
-any_process make_weighted(const scenario& sc, kernel_kind,
+any_process make_weighted(const scenario& sc, kernel_choice,
                           std::uint64_t seed) {
     return any_process(
         weighted_kd_process(sc.n, sc.k, sc.d, seed, skew_weights(sc.skew)));
 }
 
-any_process make_one_plus_beta(const scenario& sc, kernel_kind kernel,
+any_process make_one_plus_beta(const scenario& sc, kernel_choice kernel,
                                std::uint64_t seed) {
-    if (kernel == kernel_kind::level) {
+    if (kernel == kernel_choice::level) {
         return any_process(one_plus_beta_level_process(sc.n, sc.beta, seed));
     }
     return any_process(one_plus_beta_process(sc.n, sc.beta, seed));
 }
 
-any_process make_threshold(const scenario& sc, kernel_kind,
+any_process make_threshold(const scenario& sc, kernel_choice,
                            std::uint64_t seed) {
     return any_process(adaptive_threshold_process(
         sc.n, sc.threshold, static_cast<std::uint32_t>(sc.cap), seed));
@@ -348,6 +334,21 @@ const char* kernel_choice_name(kernel_choice kernel) noexcept {
     return "auto";
 }
 
+kernel_choice kernel_from_name(const std::string& text) {
+    if (text == "perbin") {
+        return kernel_choice::per_bin;
+    }
+    if (text == "level") {
+        return kernel_choice::level;
+    }
+    if (text == "auto") {
+        return kernel_choice::auto_pick;
+    }
+    throw cli_error("scenario key 'kernel' must be 'perbin', 'level' or "
+                    "'auto', got '" +
+                    text + "'");
+}
+
 scenario parse_scenario(std::string_view text) {
     return parse_scenario(text, scenario{});
 }
@@ -406,7 +407,7 @@ scenario parse_scenario(std::string_view text, scenario base) {
         } else if (key == "replacement") {
             sc.replacement = parse_replacement(value);
         } else if (key == "kernel") {
-            sc.kernel = parse_kernel(value);
+            sc.kernel = kernel_from_name(value);
         } else if (key == "par") {
             sc.par = par_mode_from_name(value);
         } else if (key == "shards") {
@@ -587,7 +588,7 @@ void validate_scenario(const scenario& sc) {
     // here keeps parse_scenario errors early and complete. The per-bin
     // kernels store bin ids as 32-bit values with one reserved, so a
     // larger n would silently fold bins together.
-    if (resolve_kernel(sc) == kernel_kind::per_bin &&
+    if (resolve_kernel(sc) == kernel_choice::per_bin &&
         sc.n >= 0xFFFFFFFFull) {
         throw cli_error("the per-bin kernels index bins with 32-bit ids and "
                         "need n < 2^32 - 1, got n=" +
@@ -603,11 +604,11 @@ void validate_scenario(const scenario& sc) {
     }
 }
 
-kernel_kind resolve_kernel(const scenario& sc) {
+kernel_choice resolve_kernel(const scenario& sc) {
     const family_info& family = family_of(sc);
     switch (sc.kernel) {
     case kernel_choice::per_bin:
-        return kernel_kind::per_bin;
+        return kernel_choice::per_bin;
     case kernel_choice::level:
         if (!family.supports_level) {
             throw cli_error(
@@ -629,7 +630,7 @@ kernel_kind resolve_kernel(const scenario& sc) {
                 "kernel=level with par=rep, or par=round with kernel=perbin "
                 "or kernel=auto");
         }
-        return kernel_kind::level;
+        return kernel_choice::level;
     case kernel_choice::auto_pick:
         break;
     }
@@ -637,8 +638,8 @@ kernel_kind resolve_kernel(const scenario& sc) {
     return family.supports_level &&
                    sc.replacement == probe_mode::with_replacement &&
                    sc.par == par_mode::rep
-               ? kernel_kind::level
-               : kernel_kind::per_bin;
+               ? kernel_choice::level
+               : kernel_choice::per_bin;
 }
 
 std::uint64_t resolved_balls(const scenario& sc) {
@@ -670,8 +671,9 @@ namespace {
 /// resolved kernel — the one build path of make_process and of the sweep
 /// cells. A per-bin build passes the perbin.alloc fault site.
 any_process build_process(const scenario& sc, const family_info& family,
-                          kernel_kind kernel, std::uint64_t seed) {
-    if (kernel != kernel_kind::per_bin) {
+                          kernel_choice kernel, std::uint64_t seed) {
+    KD_EXPECTS(kernel != kernel_choice::auto_pick);
+    if (kernel != kernel_choice::per_bin) {
         return family.make(sc, kernel, seed);
     }
     try {
@@ -693,7 +695,7 @@ any_process build_process(const scenario& sc, const family_info& family,
                      "n=" << sc.n
                   << "; degrading to the level kernel (same "
                      "distribution, O(max load) state)\n";
-        return family.make(sc, kernel_kind::level, seed);
+        return family.make(sc, kernel_choice::level, seed);
     }
 }
 
@@ -786,7 +788,7 @@ sweep_cell make_scenario_cell(std::string name, const scenario& sc,
         };
         return cell;
     }
-    const kernel_kind kernel = resolve_kernel(sc);
+    const kernel_choice kernel = resolve_kernel(sc);
     // Repetition jobs already saturate the pool, so a par=round cell runs
     // its sharded phases inline on the owning worker — the output is
     // byte-identical either way (that is the sharded kernel's contract).

@@ -105,11 +105,24 @@ class thread_pool;
 template <typename P>
 concept pool_aware = requires(P p, thread_pool* pool) { p.use_pool(pool); };
 
-/// Which kernel the scenario asks for; unlike kernel_kind this includes
-/// `auto` ("level whenever the policy supports it", resolve_kernel).
+/// Which simulation kernel backs a scenario's processes:
+///   * per_bin — one load entry per bin (core/process.hpp). O(n) state;
+///     supports per-bin observables (height logs, explicit probe multisets).
+///   * level — counts of bins per load level (core/level_process.hpp).
+///     O(max-load) state; distributionally identical, not bit-identical —
+///     billion-bin and heavily loaded runs belong here.
+///   * auto_pick — a request only: level whenever the policy supports it
+///     (resolve_kernel, which never returns it).
 enum class kernel_choice { per_bin, level, auto_pick };
 
+/// Short name for labels, CSV cells and scenario strings: "perbin",
+/// "level" or "auto".
 [[nodiscard]] const char* kernel_choice_name(kernel_choice kernel) noexcept;
+
+/// Parses "perbin" / "level" / "auto" — the scenario grammar's kernel=
+/// values, also used by the benches' --kernel flag. Throws cli_error
+/// otherwise.
+[[nodiscard]] kernel_choice kernel_from_name(const std::string& text);
 
 /// Whether a run simulates its warmup ball by ball (`full`) or jumps to a
 /// synthesized steady-state profile and settles (`ff`,
@@ -121,15 +134,6 @@ enum class warmup_mode { full, fast_forward };
 /// Parses "full" / "ff" — the scenario grammar's warmup= values, also used
 /// by the heavy benches' --warmup flag. Throws cli_error otherwise.
 [[nodiscard]] warmup_mode warmup_from_name(const std::string& text);
-
-/// Lifts a resolved kernel into the request enum — how benches map their
-/// legacy `--kernel` flag onto a base scenario before `--scenario` merges
-/// over it.
-[[nodiscard]] constexpr kernel_choice
-to_kernel_choice(kernel_kind kernel) noexcept {
-    return kernel == kernel_kind::level ? kernel_choice::level
-                                        : kernel_choice::per_bin;
-}
 
 /// The declarative scenario value. Fields the family does not read (e.g.
 /// beta under "kd") are carried but ignored.
@@ -184,8 +188,9 @@ void validate_scenario(const scenario& sc);
 /// Resolves kernel=auto (level whenever the family supports it, the probes
 /// are with-replacement and par=rep; perbin otherwise) and rejects
 /// kernel=level for families without a level kernel — the error names the
-/// level-capable set — and under par=round.
-[[nodiscard]] kernel_kind resolve_kernel(const scenario& sc);
+/// level-capable set — and under par=round. Returns per_bin or level,
+/// never auto_pick.
+[[nodiscard]] kernel_choice resolve_kernel(const scenario& sc);
 
 /// The scenario's ball count: `balls` when set, else the family default
 /// (whole rounds of k for the batch policies, n for the per-ball ones).

@@ -250,7 +250,7 @@ bool run_snapshot_stage(const arg_parser& args, const scenario& sc,
     }
 
     validate_scenario(sc);
-    if (resolve_kernel(sc) != kernel_kind::level) {
+    if (resolve_kernel(sc) != kernel_choice::level) {
         throw cli_error("snapshot staging persists level profiles; the "
                         "scenario must resolve to kernel=level (use "
                         "kernel=level or kernel=auto with a level-capable "

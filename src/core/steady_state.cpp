@@ -161,7 +161,7 @@ ff_split fast_forward_split(const scenario& sc, std::uint64_t total_balls) {
 }
 
 ff_plan plan_fast_forward(const scenario& sc) {
-    if (resolve_kernel(sc) != kernel_kind::level) {
+    if (resolve_kernel(sc) != kernel_choice::level) {
         throw cli_error(
             "warmup=ff jump-starts a level profile; the scenario must "
             "resolve to kernel=level (kernel=perbin keeps per-bin state "

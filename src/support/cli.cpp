@@ -32,9 +32,10 @@ void arg_parser::add_threads_option() {
 void arg_parser::add_kernel_option() {
     add_option("kernel", "perbin",
                "simulation kernel: 'perbin' (O(n) per-bin loads, the "
-               "reference) or 'level' (O(max-load) level-compressed state; "
+               "reference), 'level' (O(max-load) level-compressed state; "
                "distributionally identical, different RNG stream — use for "
-               "huge n and heavily loaded runs)");
+               "huge n and heavily loaded runs) or 'auto' (level whenever "
+               "the policy supports it); alias of the scenario key kernel=");
 }
 
 void arg_parser::add_adaptive_options() {
@@ -203,6 +204,15 @@ std::uint64_t arg_parser::get_positive_int(const std::string& name) const {
     return static_cast<std::uint64_t>(value);
 }
 
+std::uint32_t arg_parser::get_reps() const {
+    const std::uint64_t reps = get_positive_int("reps");
+    if (reps > UINT32_MAX) {
+        throw cli_error("option --reps must be <= 4294967295, got '" +
+                        get_string("reps") + "'");
+    }
+    return static_cast<std::uint32_t>(reps);
+}
+
 bool arg_parser::get_flag(const std::string& name) const {
     return get_string(name) == "true";
 }
@@ -218,6 +228,15 @@ std::string arg_parser::usage(const std::string& program) const {
         out << "\n      " << spec.help << '\n';
     }
     return out.str();
+}
+
+int cli_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+    try {
+        return body(argc, argv);
+    } catch (const cli_error& error) {
+        std::cerr << "error: " << error.what() << '\n';
+        return 2;
+    }
 }
 
 } // namespace kdc

@@ -40,10 +40,10 @@ public:
     /// semantic lives.
     [[nodiscard]] unsigned get_threads() const;
 
-    /// Declares the standard `--kernel={perbin,level}` option: which
-    /// simulation kernel backs the experiment's processes (per-bin loads vs
-    /// level-compressed counts; see core/level_process.hpp). Parsed and
-    /// validated by core::kernel_from_cli.
+    /// Declares the standard `--kernel={perbin,level,auto}` option: a
+    /// flag-level alias of the scenario grammar's kernel= key (per-bin loads
+    /// vs level-compressed counts; see core/level_process.hpp), default
+    /// perbin. Parsed by core::kernel_from_name, the grammar's own parser.
     void add_kernel_option();
 
     /// Declares the standard adaptive-precision options shared by the sweep
@@ -106,6 +106,10 @@ public:
     /// rejected with a cli_error saying the option must be >= 1.
     [[nodiscard]] std::uint64_t get_positive_int(const std::string& name) const;
 
+    /// The binary's `--reps` option as a repetition count: get_positive_int
+    /// that also rejects values above 2^32 - 1.
+    [[nodiscard]] std::uint32_t get_reps() const;
+
     [[nodiscard]] bool get_flag(const std::string& name) const;
 
     [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -126,5 +130,11 @@ private:
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/// The shared `main` of the bench binaries: returns `body(argc, argv)`,
+/// except that a cli_error escaping it prints "error: <message>" to stderr
+/// and returns 2. Other exceptions propagate.
+[[nodiscard]] int cli_main(int argc, char** argv,
+                           int (*body)(int argc, char** argv));
 
 } // namespace kdc

@@ -325,8 +325,6 @@ TEST(SweepEngine, RejectsInvalidRules) {
                  kdc::contract_violation);
     EXPECT_THROW((void)confidence_width_rule(0.5, 8, 4), // floor > cap
                  kdc::contract_violation);
-    EXPECT_THROW((void)confidence_width_rule(0.5, 2, 0, 1.0), // confidence
-                 kdc::contract_violation);
     EXPECT_NO_THROW(kdc::core::validate_stopping_rule(fixed_reps_rule()));
 }
 

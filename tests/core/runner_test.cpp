@@ -144,32 +144,6 @@ TEST(Runner, InvalidConfigViolatesContract) {
                  kdc::contract_violation);
 }
 
-TEST(Runner, KernelFromCliParsesBothKernelsAndRejectsGarbage) {
-    auto parse_kernel = [](const char* value) {
-        kdc::arg_parser args;
-        args.add_kernel_option();
-        const std::string arg = std::string("--kernel=") + value;
-        const char* argv[] = {"prog", arg.c_str()};
-        EXPECT_TRUE(args.parse(2, argv));
-        return kdc::core::kernel_from_cli(args);
-    };
-    EXPECT_EQ(parse_kernel("perbin"), kdc::core::kernel_kind::per_bin);
-    EXPECT_EQ(parse_kernel("level"), kdc::core::kernel_kind::level);
-    EXPECT_THROW((void)parse_kernel("lvl"), kdc::cli_error);
-
-    // Default (option absent) is the per-bin reference kernel.
-    kdc::arg_parser args;
-    args.add_kernel_option();
-    const char* argv[] = {"prog"};
-    EXPECT_TRUE(args.parse(1, argv));
-    EXPECT_EQ(kdc::core::kernel_from_cli(args),
-              kdc::core::kernel_kind::per_bin);
-    EXPECT_STREQ(kdc::core::kernel_name(kdc::core::kernel_kind::level),
-                 "level");
-    EXPECT_STREQ(kdc::core::kernel_name(kdc::core::kernel_kind::per_bin),
-                 "perbin");
-}
-
 TEST(Runner, GapStatsAggregates) {
     const auto result =
         kd_experiment(256, 2, 4, {.balls = 2560, .reps = 5, .seed = 10});

@@ -259,7 +259,7 @@ TEST(ScenarioEquivalence, ParRoundAutoKernelIsThePerBinKernel) {
     // kernel=auto under par=round resolves to perbin, so the round-parallel
     // scenario is byte-identical to the per-bin par=rep one.
     const auto sharded = parse_scenario("kd:n=10000,k=3,d=8,par=round");
-    EXPECT_EQ(resolve_kernel(sharded), kernel_kind::per_bin);
+    EXPECT_EQ(resolve_kernel(sharded), kernel_choice::per_bin);
     const auto serial =
         parse_scenario("kd:n=10000,k=3,d=8,kernel=perbin,par=rep");
     thread_pool pool(4);

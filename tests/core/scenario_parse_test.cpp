@@ -14,7 +14,7 @@
 
 using kdc::cli_error;
 using kdc::core::kernel_choice;
-using kdc::core::kernel_kind;
+using kdc::core::kernel_choice_name;
 using kdc::core::metric_kind;
 using kdc::core::parse_scenario;
 using kdc::core::probe_mode;
@@ -148,30 +148,30 @@ TEST(ScenarioParse, LevelKernelRejectionNamesTheCapableSet) {
 
 TEST(ScenarioParse, AutoKernelPicksLevelWhereSupported) {
     EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4")),
-              kernel_kind::level);
+              kernel_choice::level);
     EXPECT_EQ(resolve_kernel(parse_scenario("single:n=512")),
-              kernel_kind::level);
+              kernel_choice::level);
     EXPECT_EQ(resolve_kernel(parse_scenario("one_plus_beta:n=512")),
-              kernel_kind::level);
+              kernel_choice::level);
     // Policies without a level kernel degrade to perbin under auto.
     EXPECT_EQ(resolve_kernel(parse_scenario(
                   "weighted:n=512,k=2,d=4,skew=0.5")),
-              kernel_kind::per_bin);
+              kernel_choice::per_bin);
     EXPECT_EQ(resolve_kernel(parse_scenario("threshold:n=512")),
-              kernel_kind::per_bin);
+              kernel_choice::per_bin);
     EXPECT_EQ(resolve_kernel(parse_scenario("greedy:n=512,k=2,d=4")),
-              kernel_kind::per_bin);
+              kernel_choice::per_bin);
     // ... and so does the without-replacement ablation.
     EXPECT_EQ(resolve_kernel(parse_scenario(
                   "kd:n=512,k=2,d=4,replacement=without")),
-              kernel_kind::per_bin);
+              kernel_choice::per_bin);
     // ... and so does par=round: the round-parallel kernel is per-bin.
     EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4,par=round")),
-              kernel_kind::per_bin);
+              kernel_choice::per_bin);
     // Explicit kernels are honored as-is.
     EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=512,k=2,d=4,"
                                             "kernel=perbin")),
-              kernel_kind::per_bin);
+              kernel_choice::per_bin);
 }
 
 TEST(ScenarioParse, ResolvedBallsFollowsThePolicy) {
@@ -383,7 +383,7 @@ TEST(ScenarioParse, PerBinBinIdsMustFit32Bits) {
     EXPECT_EQ(parse_error("kd:n=4294967294,k=2,d=4,kernel=perbin"), "");
     // kernel=auto resolves to level, whose state is O(max load).
     EXPECT_EQ(resolve_kernel(parse_scenario("kd:n=5e9,k=2,d=4")),
-              kernel_kind::level);
+              kernel_choice::level);
     // par=round packs probe slots into 32 bits.
     EXPECT_NE(parse_error("kd:n=4e9,k=2,d=3e9,par=round")
                   .find("par=round packs probe slots into 32 bits"),
@@ -406,6 +406,41 @@ TEST(ScenarioCli, ScenarioOverridesLegacyFlagsKeyByKey) {
     EXPECT_EQ(merged.n, 2048u);          // inherited from the legacy flag
     EXPECT_EQ(merged.kernel, kernel_choice::level); // overridden
     EXPECT_EQ(merged.metric, metric_kind::gap);     // overridden
+}
+
+TEST(ScenarioCli, KernelFlagParsesLikeTheKernelKey) {
+    auto parse_flag = [](const char* value) {
+        kdc::arg_parser args;
+        args.add_kernel_option();
+        const std::string arg = std::string("--kernel=") + value;
+        const char* argv[] = {"bench", arg.c_str()};
+        EXPECT_TRUE(args.parse(2, argv));
+        return kdc::core::kernel_from_name(args.get_string("kernel"));
+    };
+    for (const char* name : {"perbin", "level", "auto"}) {
+        EXPECT_EQ(parse_flag(name),
+                  parse_scenario(std::string("kd:kernel=") + name).kernel);
+        EXPECT_STREQ(kernel_choice_name(parse_flag(name)), name);
+    }
+    // One parser, one message for the flag and the key.
+    const std::string message =
+        "scenario key 'kernel' must be 'perbin', 'level' or 'auto', got "
+        "'lvl'";
+    EXPECT_EQ(parse_error("kd:kernel=lvl"), message);
+    try {
+        (void)parse_flag("lvl");
+        ADD_FAILURE() << "--kernel=lvl parsed";
+    } catch (const cli_error& error) {
+        EXPECT_EQ(error.what(), message);
+    }
+
+    // Default (option absent) is the per-bin reference kernel.
+    kdc::arg_parser args;
+    args.add_kernel_option();
+    const char* argv[] = {"bench"};
+    ASSERT_TRUE(args.parse(1, argv));
+    EXPECT_EQ(kdc::core::kernel_from_name(args.get_string("kernel")),
+              kernel_choice::per_bin);
 }
 
 TEST(ScenarioCli, AbsentScenarioReturnsTheBaseUntouched) {
